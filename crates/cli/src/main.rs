@@ -113,7 +113,7 @@ impl Args {
     fn load_mode(&self) -> Result<LoadMode, String> {
         match self.get("load-mode") {
             None => Ok(LoadMode::Mmap),
-            Some(s) => LoadMode::parse(s),
+            Some(s) => s.parse(),
         }
     }
 
@@ -372,6 +372,7 @@ fn load_snapshots_healing(
     let mut loaded = std::collections::BTreeMap::new();
     let mut bytes = 0usize;
     for &date in window {
+        let at_path = |e: StoreError| format!("{}: {e}", store.path_of(date).display());
         let file = match store.load_quarantining(date, mode) {
             Ok(file) => file,
             Err(StoreError::Quarantined { path, reason }) => {
@@ -387,9 +388,9 @@ fn load_snapshots_healing(
                 store
                     .write(&world.snapshot(date))
                     .map_err(|e| format!("rewriting quarantined {date}: {e}"))?;
-                store.load_with(date, mode).map_err(|e| e.to_string())?
+                store.load_with(date, mode).map_err(at_path)?
             }
-            Err(e) => return Err(e.to_string()),
+            Err(e) => return Err(at_path(e)),
         };
         bytes += file.byte_len();
         loaded.insert(date, file);
@@ -447,7 +448,7 @@ fn run_window_input(
                 );
                 None
             }
-            Err(e) => return Err(e.to_string()),
+            Err(e) => return Err(format!("world store {dir}: {e}")),
         }
     } else {
         None
@@ -466,7 +467,8 @@ fn run_window_input(
             let archive = stored.rib_archive();
             let world_open = world_open.elapsed();
             let snapshot_open = Instant::now();
-            let store = SnapshotStore::open(dir).map_err(|e| e.to_string())?;
+            let store =
+                SnapshotStore::open(dir).map_err(|e| format!("snapshot store {dir}: {e}"))?;
             let missing: Vec<MonthDate> = window
                 .iter()
                 .copied()
@@ -502,7 +504,8 @@ fn run_window_input(
             let world = generate();
             let archive = world.rib_archive();
             let snapshot_open = Instant::now();
-            let store = SnapshotStore::open(dir).map_err(|e| e.to_string())?;
+            let store =
+                SnapshotStore::open(dir).map_err(|e| format!("snapshot store {dir}: {e}"))?;
             let (loaded, bytes) =
                 load_snapshots_healing(&store, &window, mode, Some(&world), &generate)?;
             let snapshot_open = snapshot_open.elapsed();
@@ -817,7 +820,9 @@ fn cmd_serve_live(
     let world = World::generate(config.clone());
     let archive = world.rib_archive();
     let store = match args.get("store") {
-        Some(dir) => Some(SnapshotStore::open(dir).map_err(|e| e.to_string())?),
+        Some(dir) => {
+            Some(SnapshotStore::open(dir).map_err(|e| format!("snapshot store {dir}: {e}"))?)
+        }
         None => None,
     };
     if let Some(store) = &store {
@@ -830,7 +835,9 @@ fn cmd_serve_live(
     for &date in &window {
         let snap = match &store {
             Some(store) if store.contains(date) => {
-                let file = store.load_with(date, mode).map_err(|e| e.to_string())?;
+                let file = store
+                    .load_with(date, mode)
+                    .map_err(|e| format!("{}: {e}", store.path_of(date).display()))?;
                 std::sync::Arc::new(DnsSnapshot::materialize(&*file))
             }
             _ => std::sync::Arc::new(world.snapshot(date)),
@@ -1122,10 +1129,10 @@ fn cmd_snapshot(args: &Args) -> Result<(), String> {
         args.get("preset").unwrap_or("paper")
     );
     let world = World::generate(config);
-    let store = SnapshotStore::create(dir).map_err(|e| e.to_string())?;
+    let store = SnapshotStore::create(dir).map_err(|e| format!("snapshot store {dir}: {e}"))?;
     let written = world
         .export_snapshots(&store, from, to, force)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("snapshot store {dir}: {e}"))?;
     let months = from.range_to(to).len();
     println!(
         "exported {written} snapshot(s) to {dir} ({} already present) for {from}..{to}",
@@ -1157,10 +1164,10 @@ fn cmd_world(args: &Args) -> Result<(), String> {
         args.get("preset").unwrap_or("paper")
     );
     let world = World::generate(config);
-    let store = SnapshotStore::create(dir).map_err(|e| e.to_string())?;
+    let store = SnapshotStore::create(dir).map_err(|e| format!("snapshot store {dir}: {e}"))?;
     let written = world
         .export_snapshots(&store, from, to, force)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("snapshot store {dir}: {e}"))?;
     let path = WorldStore::write(
         Path::new(dir),
         world.config.fingerprint(),
@@ -1169,7 +1176,7 @@ fn cmd_world(args: &Args) -> Result<(), String> {
         world.asdb(),
         world.hg_cdn(),
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| format!("world store {dir}: {e}"))?;
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     let months = from.range_to(to).len();
     println!(

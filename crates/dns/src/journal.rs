@@ -18,10 +18,11 @@
 //!                       per present side: n4 u32, n4×u32, n6 u32, n6×u128
 //! ```
 //!
-//! Integers are native-endian behind the shared [`crate::wire`]
-//! endianness tag, months use the shared date encoding, and the record
-//! checksum is the same FNV-1a 64 the store files use. Records are not
-//! aligned — the journal is decoded by sequential copy, never cast.
+//! The first 16 header bytes are the shared [`crate::sealed`] preamble.
+//! Integers are native-endian, months use the shared date encoding, and
+//! each record carries its own FNV-1a 64 checksum.
+//! Records are not aligned — the journal is decoded by sequential copy,
+//! never cast.
 //!
 //! # Sequence numbers
 //!
@@ -33,10 +34,9 @@
 //! [`IngestJournal::next_seq`] is stable across both restarts and
 //! compactions. The serving layer derives its published epoch from it
 //! (`epoch = 1 + seq`), which is what makes a replication feed cursor
-//! exact across primary crashes. `reset` advances `base seq` by writing
-//! a fresh header to a temp file and renaming it over the journal —
-//! the same atomic-publish discipline as the snapshot store — so the
-//! header itself can never be torn by a crashed compaction.
+//! exact across primary crashes. `reset` advances `base seq` by
+//! publishing a fresh header with the shared atomic write, so the header
+//! itself can never be torn by a crashed compaction.
 //!
 //! # Durability and torn tails
 //!
@@ -54,29 +54,36 @@
 //! Failpoint sites (`--features failpoints`): `journal::append` (torn
 //! or failed record writes), `journal::sync` (failed fsync — the
 //! not-yet-durable record is chopped back off), `journal::replay`
-//! (short reads at recovery).
+//! (short reads at recovery), and `journal-reset::{write,sync,rename}`
+//! (the header publish behind `reset` and a fresh create).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::delta::{DomainChange, SnapshotDelta};
 use crate::name::DomainId;
+use crate::sealed::{self, put_u32, put_u64, read_u32, read_u64, Format};
 use crate::snapshot::ResolvedAddrs;
-use crate::store::{sync_dir, StoreError};
-use crate::wire::{self, put_u32, put_u64, read_u32, read_u64, ENDIAN_TAG};
+use crate::store::StoreError;
 
-const MAGIC: [u8; 8] = *b"SIBJRNL\0";
-const VERSION: u32 = 2;
 const HEADER_LEN: usize = 24;
 /// Record framing: length (u32) + payload checksum (u64).
 const RECORD_HEADER: usize = 12;
 
+/// Header publishes get their own failpoint family, `journal-reset`:
+/// `journal::sync` is the fsync after an append.
+const FORMAT: Format = Format {
+    magic: *b"SIBJRNL\0",
+    version: 2,
+    header_len: HEADER_LEN,
+    seal_at: None,
+    family: "journal-reset",
+};
+
 fn header_bytes(base_seq: u64) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
-    header[..8].copy_from_slice(&MAGIC);
-    put_u32(&mut header, 8, VERSION);
-    put_u32(&mut header, 12, ENDIAN_TAG);
+    FORMAT.put_preamble(&mut header);
     put_u64(&mut header, 16, base_seq);
     header
 }
@@ -101,8 +108,8 @@ fn push_addrs(buf: &mut Vec<u8>, addrs: &ResolvedAddrs) {
 /// journal and the protocol cannot drift apart.
 pub fn encode_delta(delta: &SnapshotDelta) -> Vec<u8> {
     let mut buf = Vec::new();
-    push_u32(&mut buf, wire::encode_date(delta.from_date()));
-    push_u32(&mut buf, wire::encode_date(delta.to_date()));
+    push_u32(&mut buf, sealed::encode_date(delta.from_date()));
+    push_u32(&mut buf, sealed::encode_date(delta.to_date()));
     push_u32(&mut buf, delta.changes().len() as u32);
     for change in delta.changes() {
         push_u32(&mut buf, change.domain.0);
@@ -171,9 +178,9 @@ pub fn decode_delta(payload: &[u8]) -> Result<SnapshotDelta, StoreError> {
         bytes: payload,
         at: 0,
     };
-    let from = wire::decode_date(r.take_u32()?)
+    let from = sealed::decode_date(r.take_u32()?)
         .ok_or(StoreError::Corrupt("journal record date out of range"))?;
-    let to = wire::decode_date(r.take_u32()?)
+    let to = sealed::decode_date(r.take_u32()?)
         .ok_or(StoreError::Corrupt("journal record date out of range"))?;
     let count = r.take_u32()? as usize;
     let mut changes = Vec::with_capacity(count.min(payload.len() / 8));
@@ -229,16 +236,15 @@ pub struct IngestJournal {
 impl IngestJournal {
     /// Opens (or creates) the journal at `path` and replays it.
     ///
-    /// A missing file is created with a fresh header (file then
-    /// directory fsync'd). A torn tail is truncated away and reported.
-    /// A file that is not a journal — wrong magic, foreign endianness,
+    /// A missing file is created with a fresh header, published
+    /// atomically. A torn tail is truncated away and reported. A file
+    /// that is not a journal — wrong magic, foreign endianness,
     /// unsupported version — is a typed error; the caller decides
     /// whether to quarantine.
     pub fn open(path: &Path) -> Result<(Self, ReplayReport), StoreError> {
-        // A compaction reset that crashed between writing its temp
-        // header and the rename leaves only this residue; the journal
-        // itself is still the pre-reset file.
-        std::fs::remove_file(reset_tmp(path)).ok();
+        // A failed header publish leaves only its temp file behind.
+        let name = path.file_name().and_then(|name| name.to_str());
+        sealed::sweep(sealed::parent_dir(path), |tmp_of| Some(tmp_of) == name)?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -255,43 +261,17 @@ impl IngestJournal {
         }
 
         if bytes.len() < HEADER_LEN {
-            // Empty (fresh create) or a crash mid-header-write. Neither
-            // can hold records, so rewriting the header loses nothing —
-            // but only if the fragment is actually ours. Fresh headers
-            // are always written with base sequence 0; nonzero bases
-            // only ever land via the atomic reset rename, whole.
+            // Empty (fresh create) or a torn header. Neither can hold
+            // records, so a fresh header loses nothing — but only if the
+            // fragment is actually ours. Fresh headers are always written
+            // with base sequence 0; nonzero bases only ever land whole.
             if !header_bytes(0).starts_with(&bytes) {
                 return Err(StoreError::BadMagic);
             }
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&header_bytes(0))?;
-            file.sync_all()?;
-            if let Some(dir) = path.parent() {
-                sync_dir(dir)?;
-            }
-            return Ok((
-                Self {
-                    path: path.to_path_buf(),
-                    file,
-                    end: HEADER_LEN as u64,
-                    base_seq: 0,
-                    records: 0,
-                    poisoned: false,
-                },
-                ReplayReport::default(),
-            ));
+            bytes = header_bytes(0).to_vec();
+            file = FORMAT.write(path, &bytes)?;
         }
-        if bytes[..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        if read_u32(&bytes, 12) != ENDIAN_TAG {
-            return Err(StoreError::BadEndian);
-        }
-        let version = read_u32(&bytes, 8);
-        if version != VERSION {
-            return Err(StoreError::BadVersion(version));
-        }
+        FORMAT.check_header(&bytes)?;
 
         let mut report = ReplayReport {
             base_seq: read_u64(&bytes, 16),
@@ -311,7 +291,7 @@ impl IngestJournal {
             let Some(payload) = bytes.get(at + RECORD_HEADER..at + RECORD_HEADER + len) else {
                 break; // torn payload
             };
-            if wire::fnv1a_continue(wire::FNV_OFFSET, payload) != want {
+            if sealed::fnv1a_continue(sealed::FNV_OFFSET, payload) != want {
                 break; // torn or bit-flipped payload
             }
             // A checksum-valid record that fails structural decode is
@@ -386,7 +366,7 @@ impl IngestJournal {
         put_u64(
             &mut record,
             4,
-            wire::fnv1a_continue(wire::FNV_OFFSET, &payload),
+            sealed::fnv1a_continue(sealed::FNV_OFFSET, &payload),
         );
         record.extend_from_slice(&payload);
         match self.write_record(&record) {
@@ -399,27 +379,14 @@ impl IngestJournal {
                 if self.file.set_len(self.end).is_err() {
                     self.poisoned = true;
                 }
-                Err(err)
+                Err(err.into())
             }
         }
     }
 
-    fn write_record(&mut self, record: &[u8]) -> Result<(), StoreError> {
+    fn write_record(&mut self, record: &[u8]) -> io::Result<()> {
         self.file.seek(SeekFrom::Start(self.end))?;
-        match sibling_failpoint::io_point("journal::append") {
-            Ok(None) => self.file.write_all(record)?,
-            Ok(Some(n)) => {
-                // Torn-write injection: the first N bytes land durably,
-                // then the write "crashes".
-                self.file.write_all(&record[..n.min(record.len())])?;
-                self.file.sync_all()?;
-                return Err(sibling_failpoint::injected("journal::append").into());
-            }
-            Err(e) => return Err(e.into()),
-        }
-        sibling_failpoint::io_point("journal::sync")?;
-        self.file.sync_all()?;
-        Ok(())
+        sealed::write_synced(&mut self.file, record, "journal", "append")
     }
 
     /// Drops every record (after a compaction has persisted their
@@ -432,23 +399,7 @@ impl IngestJournal {
     /// rewriting in place could tear the base sequence and silently
     /// rewind the epoch count on the next recovery.
     pub fn reset(&mut self) -> Result<(), StoreError> {
-        let tmp = reset_tmp(&self.path);
-        let mut fresh = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        fresh.write_all(&header_bytes(self.base_seq + self.records))?;
-        fresh.sync_all()?;
-        if let Err(err) = std::fs::rename(&tmp, &self.path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(err.into());
-        }
-        if let Some(dir) = self.path.parent() {
-            sync_dir(dir)?;
-        }
-        self.file = fresh;
+        self.file = FORMAT.write(&self.path, &header_bytes(self.last_seq()))?;
         self.end = HEADER_LEN as u64;
         self.base_seq += self.records;
         self.records = 0;
@@ -457,18 +408,12 @@ impl IngestJournal {
     }
 }
 
-/// Temp path a compaction reset publishes its fresh header through.
-fn reset_tmp(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".reset-tmp");
-    path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::DnsSnapshot;
     use sibling_net_types::MonthDate;
+    use std::io::Write;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -649,7 +594,7 @@ mod tests {
         assert_eq!(journal.record_count(), 1);
         assert_eq!(journal.last_seq(), 3);
         // No reset-tmp residue is left behind.
-        assert!(!reset_tmp(&path).exists());
+        assert!(!sealed::temp_path(&path).exists());
     }
 
     #[test]

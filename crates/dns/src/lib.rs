@@ -24,6 +24,9 @@
 //!   format written once and mapped back in milliseconds (vendored
 //!   `mmap` wrapper with a plain-read fallback), replacing per-process
 //!   regeneration for paper-scale longitudinal runs;
+//! * [`sealed`] — the one file container the snapshot store, the world
+//!   store and the ingest journal share (preamble, checksum seal, atomic
+//!   write, orphan sweep, quarantine) and the byte codec they use;
 //! * [`Toplist`] — the source lists (Alexa, Umbrella, Tranco, Radar, open
 //!   ccTLDs) with the availability windows that shape Fig. 1 (Tranco added
 //!   2022-09, Radar 2022-10, `.fr` 2022-08, Alexa removed 2023-05).
@@ -43,11 +46,11 @@ mod journal;
 mod name;
 mod record;
 mod resolve;
+pub mod sealed;
 mod snapshot;
 mod source;
 mod store;
 mod toplist;
-pub mod wire;
 
 pub use delta::{DomainChange, SnapshotDelta};
 pub use journal::{decode_delta, encode_delta, IngestJournal, ReplayReport};
@@ -56,7 +59,5 @@ pub use record::{DnsRecord, Zone};
 pub use resolve::{Resolution, ResolveError, Resolver, MAX_CNAME_CHAIN};
 pub use snapshot::{DnsSnapshot, ResolvedAddrs};
 pub use source::{AddrEntry, SnapshotSource};
-pub use store::{
-    encode_snapshot, sync_dir, LoadMode, SnapshotFile, SnapshotStore, SnapshotView, StoreError,
-};
+pub use store::{encode_snapshot, LoadMode, SnapshotFile, SnapshotStore, SnapshotView, StoreError};
 pub use toplist::Toplist;

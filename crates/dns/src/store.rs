@@ -46,11 +46,11 @@
 //! panic and corrupt input is always a typed [`StoreError`], never UB
 //! (the property and corruption tests below pin this).
 //!
-//! Files are written to a temp name and `rename`d into place, so a
-//! concurrently-opening reader never maps a half-written file.
+//! The preamble, seal, atomic write, orphan sweep and quarantine are the
+//! shared [`crate::sealed`] container's.
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -58,20 +58,26 @@ use std::sync::Arc;
 use sibling_net_types::MonthDate;
 
 use crate::name::DomainId;
+use crate::sealed::{self, align16, decode_date, encode_date, put_u32, read_u32, read_u64, Format};
 use crate::snapshot::{DnsSnapshot, ResolvedAddrs};
 use crate::source::{AddrEntry, SnapshotSource};
-use crate::wire::{self, put_u32, read_u32, read_u64, ENDIAN_TAG};
 
-const MAGIC: [u8; 8] = *b"SIBSNAP\0";
-const VERSION: u32 = 1;
 const HEADER_LEN: usize = 64;
 
-/// Why a snapshot file failed to write, load, or validate.
+const FORMAT: Format = Format {
+    magic: *b"SIBSNAP\0",
+    version: 1,
+    header_len: HEADER_LEN,
+    seal_at: Some(40),
+    family: "snapshot-store",
+};
+
+/// Why a snapshot, world or journal file failed to write, load, or validate.
 #[derive(Debug)]
 pub enum StoreError {
     /// An underlying filesystem error.
     Io(io::Error),
-    /// The file does not start with the snapshot magic.
+    /// The file does not start with its format's magic.
     BadMagic,
     /// The file's endianness tag does not match this host (the zero-copy
     /// casts require native byte order).
@@ -152,18 +158,15 @@ impl StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Io(e) => write!(f, "snapshot store I/O error: {e}"),
-            StoreError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            StoreError::BadEndian => write!(f, "snapshot file written on a foreign-endian host"),
-            StoreError::BadVersion(v) => write!(f, "unsupported snapshot format version {v}"),
+            StoreError::Io(e) => write!(f, "I/O error: {e}"),
+            StoreError::BadMagic => write!(f, "wrong file type (bad magic)"),
+            StoreError::BadEndian => write!(f, "file written on a foreign-endian host"),
+            StoreError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             StoreError::Truncated { expected, got } => {
-                write!(
-                    f,
-                    "snapshot file truncated: {got} bytes, expected {expected}"
-                )
+                write!(f, "file truncated: {got} bytes, expected {expected}")
             }
-            StoreError::ChecksumMismatch => write!(f, "snapshot file checksum mismatch"),
-            StoreError::Corrupt(what) => write!(f, "corrupt snapshot file: {what}"),
+            StoreError::ChecksumMismatch => write!(f, "file checksum mismatch"),
+            StoreError::Corrupt(what) => write!(f, "corrupt file: {what}"),
             StoreError::Missing(date) => write!(f, "no stored snapshot for {date}"),
             StoreError::MissingMonths { missing } => {
                 write!(f, "store is missing {} month(s):", missing.len())?;
@@ -199,26 +202,6 @@ impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> Self {
         StoreError::Io(e)
     }
-}
-
-/// The file checksum: FNV-1a 64 over the header with the checksum field
-/// skipped, then the payload. Covering the header means a corrupted
-/// date/count/length field is caught as [`StoreError::ChecksumMismatch`],
-/// not silently attributed to the wrong month or shape.
-fn file_checksum(bytes: &[u8]) -> u64 {
-    wire::checksum_skipping(bytes, 40..48)
-}
-
-fn encode_date(date: MonthDate) -> u32 {
-    wire::encode_date(date)
-}
-
-fn decode_date(raw: u32) -> Result<MonthDate, StoreError> {
-    wire::decode_date(raw).ok_or(StoreError::Corrupt("date out of range"))
-}
-
-fn align16(offset: u64) -> u64 {
-    wire::align16(offset)
 }
 
 /// Byte ranges of the five sections, derived purely from the header
@@ -277,15 +260,11 @@ pub fn encode_snapshot<S: SnapshotSource + ?Sized>(src: &S) -> Result<Vec<u8>, S
         usize::try_from(layout.file_len).map_err(|_| StoreError::Corrupt("snapshot too large"))?;
 
     let mut buf = vec![0u8; file_len];
-    buf[0..8].copy_from_slice(&MAGIC);
-    buf[8..12].copy_from_slice(&VERSION.to_ne_bytes());
-    buf[12..16].copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
+    FORMAT.put_preamble(&mut buf);
     buf[16..20].copy_from_slice(&encode_date(src.snapshot_date()).to_ne_bytes());
     buf[20..24].copy_from_slice(&(n as u32).to_ne_bytes());
     buf[24..32].copy_from_slice(&v4_total.to_ne_bytes());
     buf[32..40].copy_from_slice(&v6_total.to_ne_bytes());
-    // checksum patched below
-    buf[48..56].copy_from_slice(&layout.file_len.to_ne_bytes());
 
     let mut prev_domain: Option<u32> = None;
     let mut v4_cursor = 0u32;
@@ -314,9 +293,7 @@ pub fn encode_snapshot<S: SnapshotSource + ?Sized>(src: &S) -> Result<Vec<u8>, S
     }
     put_u32(&mut buf, layout.v4_off.start + n as usize * 4, v4_cursor);
     put_u32(&mut buf, layout.v6_off.start + n as usize * 4, v6_cursor);
-
-    let checksum = file_checksum(&buf);
-    buf[40..48].copy_from_slice(&checksum.to_ne_bytes());
+    FORMAT.seal(&mut buf);
     Ok(buf)
 }
 
@@ -324,42 +301,19 @@ pub fn encode_snapshot<S: SnapshotSource + ?Sized>(src: &S) -> Result<Vec<u8>, S
 /// section layout. Every later view access relies only on invariants
 /// established here.
 fn validate(bytes: &[u8]) -> Result<(MonthDate, Layout), StoreError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(StoreError::Truncated {
-            expected: HEADER_LEN as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    if read_u32(bytes, 12) != ENDIAN_TAG {
-        return Err(StoreError::BadEndian);
-    }
-    let version = read_u32(bytes, 8);
-    if version != VERSION {
-        return Err(StoreError::BadVersion(version));
-    }
-    let date = decode_date(read_u32(bytes, 16))?;
+    FORMAT.check_header(bytes)?;
+    // The header's own fields are checked before the checksum, so an
+    // out-of-range date or absurd counts name what is wrong.
+    let date = decode_date(read_u32(bytes, 16)).ok_or(StoreError::Corrupt("date out of range"))?;
     let n = read_u32(bytes, 20) as u64;
     let v4_total = read_u64(bytes, 24);
     let v6_total = read_u64(bytes, 32);
-    let checksum = read_u64(bytes, 40);
-    let file_len = read_u64(bytes, 48);
-    if file_len != bytes.len() as u64 {
-        return Err(StoreError::Truncated {
-            expected: file_len,
-            got: bytes.len() as u64,
-        });
-    }
     let layout = Layout::compute(n, v4_total, v6_total)
         .ok_or(StoreError::Corrupt("header counts overflow"))?;
     if layout.file_len != bytes.len() as u64 {
         return Err(StoreError::Corrupt("sections disagree with file length"));
     }
-    if file_checksum(bytes) != checksum {
-        return Err(StoreError::ChecksumMismatch);
-    }
+    FORMAT.check_checksum(bytes)?;
     // Structural invariants the view's accessors assume.
     let domains = section_u32s(bytes, &layout.domains)?;
     if !domains.windows(2).all(|w| w[0] < w[1]) {
@@ -511,11 +465,10 @@ pub enum LoadMode {
     Read,
 }
 
-impl LoadMode {
-    /// Parses a user-facing mode name (`mmap` or `read`) — the one
-    /// selection helper the CLI's `--load-mode` flag and the bench
-    /// suite's `SIBLING_BENCH_LOAD_MODE` override share.
-    pub fn parse(s: &str) -> Result<Self, String> {
+impl std::str::FromStr for LoadMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "mmap" => Ok(LoadMode::Mmap),
             "read" => Ok(LoadMode::Read),
@@ -523,14 +476,6 @@ impl LoadMode {
                 "unknown load mode {other:?} (valid values: mmap, read)"
             )),
         }
-    }
-}
-
-impl std::str::FromStr for LoadMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        LoadMode::parse(s)
     }
 }
 
@@ -555,17 +500,8 @@ impl SnapshotFile {
 
     /// Opens and fully validates `path` with an explicit backing mode.
     pub fn open_with(path: &Path, mode: LoadMode) -> Result<Self, StoreError> {
-        let map = match mode {
-            LoadMode::Mmap => mapfile::MapFile::open(path)?,
-            LoadMode::Read => mapfile::MapFile::read(path)?,
-        };
-        // Failpoint: a short read surfaces as the same truncation error a
-        // really-truncated file would produce.
-        let visible = match sibling_failpoint::io_point("snapshot-store::open")? {
-            Some(n) => &map.bytes()[..n.min(map.len())],
-            None => map.bytes(),
-        };
-        let (date, layout) = validate(visible)?;
+        let map = FORMAT.open(path, mode)?;
+        let (date, layout) = validate(map.bytes())?;
         Ok(Self { map, date, layout })
     }
 
@@ -613,6 +549,14 @@ impl SnapshotSource for SnapshotFile {
     }
 }
 
+/// The month a store file name (`snap-YYYY-MM.sibsnap`) holds.
+fn month_of(name: &str) -> Option<MonthDate> {
+    name.strip_prefix("snap-")?
+        .strip_suffix(".sibsnap")?
+        .parse()
+        .ok()
+}
+
 /// A directory of per-month snapshot files (`snap-YYYY-MM.sibsnap`).
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
@@ -625,44 +569,15 @@ impl SnapshotStore {
     pub fn create(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let store = Self { dir };
-        store.sweep_orphans()?;
-        Ok(store)
+        Self::open(dir)
     }
 
-    /// Opens an existing store directory. Sweeps orphaned temp files
-    /// from interrupted writes.
+    /// Opens an existing store directory (a missing one is an I/O
+    /// error). Sweeps orphaned temp files from interrupted writes.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
-        if !dir.is_dir() {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("snapshot store directory {} not found", dir.display()),
-            )));
-        }
-        let store = Self { dir };
-        store.sweep_orphans()?;
-        Ok(store)
-    }
-
-    /// Removes orphaned `.snap-*.sibsnap.tmp` files left behind by an
-    /// interrupted [`SnapshotStore::write`] (the crash window is between
-    /// temp-file creation and rename). Returns the removed paths. Called
-    /// at every store open, so torn writes never accumulate and can
-    /// never be mistaken for live data — temp names are hidden and never
-    /// parsed by [`SnapshotStore::dates`], so this is pure hygiene.
-    pub fn sweep_orphans(&self) -> Result<Vec<PathBuf>, StoreError> {
-        let mut removed = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with(".snap-") && name.ends_with(".sibsnap.tmp") {
-                std::fs::remove_file(entry.path())?;
-                removed.push(entry.path());
-            }
-        }
-        Ok(removed)
+        sealed::sweep(&dir, |name| month_of(name).is_some())?;
+        Ok(Self { dir })
     }
 
     /// The store's directory.
@@ -684,53 +599,19 @@ impl SnapshotStore {
     pub fn dates(&self) -> Result<Vec<MonthDate>, StoreError> {
         let mut out = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(date) = name
-                .strip_prefix("snap-")
-                .and_then(|rest| rest.strip_suffix(".sibsnap"))
-            {
-                if let Ok(date) = date.parse::<MonthDate>() {
-                    out.push(date);
-                }
+            if let Some(date) = entry?.file_name().to_str().and_then(month_of) {
+                out.push(date);
             }
         }
         out.sort_unstable();
         Ok(out)
     }
 
-    /// Serialises `src` into the store (atomically: temp file, fsync,
-    /// rename, directory fsync), returning the final path. Overwrites an
-    /// existing month. A crash at any point leaves either the old file
-    /// or the new one, never a mix — the worst residue is an orphaned
-    /// temp file the next open sweeps.
+    /// Serialises `src` into the store atomically ([`Format::write`]),
+    /// returning the final path. Overwrites an existing month.
     pub fn write<S: SnapshotSource + ?Sized>(&self, src: &S) -> Result<PathBuf, StoreError> {
-        let bytes = encode_snapshot(src)?;
         let path = self.path_of(src.snapshot_date());
-        let tmp = self
-            .dir
-            .join(format!(".snap-{}.sibsnap.tmp", src.snapshot_date()));
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            // Failpoint: a torn write persists a prefix of the image and
-            // fails, leaving the orphaned temp file for the sweep.
-            match sibling_failpoint::io_point("snapshot-store::write") {
-                Ok(None) => file.write_all(&bytes)?,
-                Ok(Some(n)) => {
-                    file.write_all(&bytes[..n.min(bytes.len())])?;
-                    file.sync_all()?;
-                    return Err(sibling_failpoint::injected("snapshot-store::write").into());
-                }
-                Err(e) => return Err(e.into()),
-            }
-            sibling_failpoint::io_point("snapshot-store::sync")?;
-            file.sync_all()?;
-        }
-        if sibling_failpoint::point("snapshot-store::rename") {
-            return Err(sibling_failpoint::injected("snapshot-store::rename").into());
-        }
-        std::fs::rename(&tmp, &path)?;
-        sync_dir(&self.dir)?;
+        FORMAT.write(&path, &encode_snapshot(src)?)?;
         Ok(path)
     }
 
@@ -762,54 +643,24 @@ impl SnapshotStore {
     }
 
     /// [`SnapshotStore::load_with`], but a month whose file fails
-    /// validation is **quarantined**: renamed to `snap-YYYY-MM.sibsnap.corrupt`
-    /// and reported as [`StoreError::Quarantined`], leaving the month's
-    /// slot clean for regeneration. Environmental errors (I/O, missing
+    /// validation is **quarantined** to `snap-YYYY-MM.sibsnap.corrupt`
+    /// ([`sealed::quarantine`]). Environmental errors (I/O, missing
     /// months) pass through unchanged.
     pub fn load_quarantining(
         &self,
         date: MonthDate,
         mode: LoadMode,
     ) -> Result<Arc<SnapshotFile>, StoreError> {
-        match self.load_with(date, mode) {
-            Err(reason) if reason.is_corruption() => {
-                let path = self.path_of(date);
-                let mut quarantined = path.clone().into_os_string();
-                quarantined.push(".corrupt");
-                let quarantined = PathBuf::from(quarantined);
-                // Best-effort: if the rename itself fails, the caller's
-                // regeneration still lands atomically over the bad file.
-                let _ = std::fs::rename(&path, &quarantined);
-                Err(StoreError::Quarantined {
-                    path: quarantined,
-                    reason: Box::new(reason),
-                })
-            }
-            other => other,
-        }
-    }
-}
-
-/// Flushes a directory after a rename so the new directory entry is
-/// durable, completing the fsync → rename → dir-fsync sequence the
-/// atomic store writes rely on. No-op where directories cannot be
-/// opened (non-unix).
-pub fn sync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        std::fs::File::open(dir)?.sync_all()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = dir;
-        Ok(())
+        sealed::quarantine(&self.path_of(date), self.load_with(date, mode))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sealed::ENDIAN_TAG;
     use crate::source::SnapshotSource;
+    use std::io::Write;
 
     fn d(i: u32) -> DomainId {
         DomainId(i)
@@ -853,8 +704,7 @@ mod tests {
     /// Flips payload bytes and re-seals the checksum, so structural
     /// validation (not the checksum) is what rejects the file.
     fn reseal(bytes: &mut [u8]) {
-        let checksum = file_checksum(bytes);
-        bytes[40..48].copy_from_slice(&checksum.to_ne_bytes());
+        FORMAT.seal(bytes);
     }
 
     fn write_file(dir: &Path, name: &str, bytes: &[u8]) -> PathBuf {

@@ -908,15 +908,22 @@ mod tests {
             let pool = ThreadPool::with_threads(2);
             let observed_stop = Arc::clone(&observed_stop);
             let rounds = Arc::clone(&rounds);
+            let (first_round, ran) = std::sync::mpsc::channel();
             pool.spawn_resident(move |ctx| {
                 while !ctx.stopping() {
-                    rounds.fetch_add(1, Ordering::SeqCst);
+                    if rounds.fetch_add(1, Ordering::SeqCst) == 0 {
+                        first_round.send(()).ok();
+                    }
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
                 observed_stop.store(true, Ordering::SeqCst);
             });
             // Queue work coexists with the resident loop.
             assert_eq!(pool.map(&[1u32, 2], |_, x| x * 2), vec![2, 4]);
+            // The drop below raises `stopping`; wait for the resident's
+            // first round so the drop cannot beat it.
+            ran.recv_timeout(std::time::Duration::from_secs(10))
+                .expect("resident ran no round within 10 s");
         }
         // Drop returned, so the resident was joined — after seeing stop.
         assert!(observed_stop.load(Ordering::SeqCst));

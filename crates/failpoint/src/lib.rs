@@ -43,14 +43,23 @@
 //! (control flavored: returns whether the site demands a failure);
 //! both handle `delay` and `panic` inline.
 //!
-//! Sites in the workspace, by family: `snapshot-store::{write,open}`
-//! and `world-store::rename` (crash-consistent stores),
-//! `service::{accept,answer,write}` (the serving tier),
-//! `ingest::publish` (the live window's journal-then-publish seam),
-//! and `replication::{send,recv,apply}` — the primary's feed answer,
-//! the follower's poll, and the follower's delta apply, which together
-//! let the chaos suite tear a replication stream at every stage of its
-//! journey and prove the follower neither corrupts nor double-applies.
+//! Sites in the workspace, by family:
+//!
+//! - `snapshot-store::{write,sync,rename,open}` and
+//!   `world-store::{write,sync,rename,open}` — the steps of the shared
+//!   sealed-file write (temp-file write, fsync, rename) and the short
+//!   read at open, named after each store;
+//! - `journal::{append,sync,replay}` — the ingest journal's record
+//!   write, its fsync, and the short read at recovery;
+//! - `journal-reset::{write,sync,rename}` — the journal's atomic header
+//!   publish (compaction reset and fresh create);
+//! - `ingest::{apply,publish}` — the live window before the journal
+//!   append and between the append and the epoch publish;
+//! - `service::{accept,answer,write}` — the serving tier;
+//! - `replication::{send,recv,apply}` — the primary's feed answer, the
+//!   follower's poll, and the follower's delta apply, which together let
+//!   the chaos suite tear a replication stream at every stage of its
+//!   journey and prove the follower neither corrupts nor double-applies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

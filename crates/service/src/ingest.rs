@@ -313,7 +313,9 @@ where
         // journal append (the delta is simply lost, never half-durable).
         sibling_failpoint::io_point("ingest::apply").map_err(|e| e.to_string())?;
         // Write-ahead: the delta is durable before it is applied.
-        self.journal.append(delta).map_err(|e| e.to_string())?;
+        self.journal
+            .append(delta)
+            .map_err(|e| format!("ingest journal {}: {e}", self.journal.path().display()))?;
         let (index, _) = self.apply(delta, true)?;
         let epoch = self.published.swap(index);
         if let Some(feed) = &self.feed {

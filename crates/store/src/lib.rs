@@ -52,7 +52,6 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -61,20 +60,23 @@ use sibling_as_org::{
     AsOrgMap, AsOrgSource, AsdbDataset, BusinessType, HgCdnClass, HgCdnList, MappingEra, OrgId,
 };
 use sibling_bgp::{Rib, RibArchive, RibSource};
-use sibling_dns::wire::{self, put_u32, put_u64, read_u32, read_u64, ENDIAN_TAG};
+use sibling_dns::sealed::{self, put_u32, put_u64, read_u32, read_u64, Format};
 use sibling_dns::{LoadMode, StoreError};
 use sibling_net_types::{
     AddressFamily, Asn, Bits, IpFamily, MonthDate, Prefix, RibRecord4, RibRecord6,
 };
 
-const MAGIC: &[u8; 8] = b"SIBWORLD";
-const VERSION: u32 = 1;
 const HEADER_LEN: u64 = 64;
-/// Byte range of the checksum field within the header (skipped when
-/// checksumming).
-const CHECKSUM_RANGE: std::ops::Range<usize> = 24..32;
 /// The store file's name inside a store directory.
 pub const WORLD_FILE_NAME: &str = "world.sibworld";
+
+const FORMAT: Format = Format {
+    magic: *b"SIBWORLD",
+    version: 1,
+    header_len: HEADER_LEN as usize,
+    seal_at: Some(24),
+    family: "world-store",
+};
 
 mapfile::plain_struct! {
     /// Month directory entry: which stored table serves a month.
@@ -234,7 +236,7 @@ fn encode_table(rib: &Rib) -> TableImage {
 }
 
 fn pad16(buf: &mut Vec<u8>) {
-    while !buf.len().is_multiple_of(wire::ALIGN as usize) {
+    while !buf.len().is_multiple_of(sealed::ALIGN as usize) {
         buf.push(0);
     }
 }
@@ -296,7 +298,7 @@ impl WorldStore {
                 }
             };
             months.push(MonthRecord {
-                date: wire::encode_date(date),
+                date: sealed::encode_date(date),
                 table: table as u32,
             });
         }
@@ -381,60 +383,18 @@ impl WorldStore {
         pad16(&mut buf);
         buf.extend_from_slice(&names.bytes);
 
-        buf[0..8].copy_from_slice(MAGIC);
-        put_u32(&mut buf, 8, VERSION);
-        put_u32(&mut buf, 12, ENDIAN_TAG);
+        FORMAT.put_preamble(&mut buf);
         put_u64(&mut buf, 16, fingerprint);
-        let total_len = buf.len() as u64;
-        put_u64(&mut buf, 32, total_len);
         put_u32(&mut buf, 40, months.len() as u32);
         put_u32(&mut buf, 44, images.len() as u32);
         put_u32(&mut buf, 48, hg_records.len() as u32);
         put_u32(&mut buf, 52, asdb_records.len() as u32);
         put_u32(&mut buf, 56, names.bytes.len() as u32);
-        let checksum = wire::checksum_skipping(&buf, CHECKSUM_RANGE);
-        put_u64(&mut buf, CHECKSUM_RANGE.start, checksum);
+        FORMAT.seal(&mut buf);
 
         let path = Self::path_of(dir);
-        let tmp = dir.join(format!(".{WORLD_FILE_NAME}.tmp"));
-        let mut file = fs::File::create(&tmp).map_err(StoreError::Io)?;
-        // Failpoint: a torn write persists a prefix of the image and
-        // fails, leaving the orphaned temp file for the sweep.
-        match sibling_failpoint::io_point("world-store::write") {
-            Ok(None) => file.write_all(&buf).map_err(StoreError::Io)?,
-            Ok(Some(n)) => {
-                file.write_all(&buf[..n.min(buf.len())])
-                    .map_err(StoreError::Io)?;
-                file.sync_all().map_err(StoreError::Io)?;
-                return Err(StoreError::Io(sibling_failpoint::injected(
-                    "world-store::write",
-                )));
-            }
-            Err(e) => return Err(StoreError::Io(e)),
-        }
-        sibling_failpoint::io_point("world-store::sync").map_err(StoreError::Io)?;
-        file.sync_all().map_err(StoreError::Io)?;
-        drop(file);
-        if sibling_failpoint::point("world-store::rename") {
-            return Err(StoreError::Io(sibling_failpoint::injected(
-                "world-store::rename",
-            )));
-        }
-        fs::rename(&tmp, &path).map_err(StoreError::Io)?;
-        sibling_dns::sync_dir(dir).map_err(StoreError::Io)?;
+        FORMAT.write(&path, &buf)?;
         Ok(path)
-    }
-
-    /// Removes an orphaned `.world.sibworld.tmp` left behind by an
-    /// interrupted [`WorldStore::write`]. Returns whether one was
-    /// removed. Called at every open, so torn writes never accumulate.
-    pub fn sweep_orphans(dir: &Path) -> io::Result<bool> {
-        let tmp = dir.join(format!(".{WORLD_FILE_NAME}.tmp"));
-        match fs::remove_file(&tmp) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
     }
 
     /// Opens and fully validates `dir/world.sibworld`, mapping the file
@@ -454,54 +414,24 @@ impl WorldStore {
         expected_fingerprint: Option<u64>,
         mode: LoadMode,
     ) -> Result<StoredWorld, StoreError> {
-        Self::sweep_orphans(dir).map_err(StoreError::Io)?;
-        let path = Self::path_of(dir);
-        let file = match mode {
-            LoadMode::Mmap => MapFile::open(&path),
-            LoadMode::Read => MapFile::read(&path),
-        }
-        .map_err(StoreError::Io)?;
-        // Failpoint: a short read surfaces as the same truncation error a
-        // really-truncated file would produce.
-        match sibling_failpoint::io_point("world-store::open").map_err(StoreError::Io)? {
-            Some(n) if n < file.len() => {
-                return Err(StoreError::Truncated {
-                    expected: file.len() as u64,
-                    got: n as u64,
-                });
-            }
-            _ => {}
-        }
+        sealed::sweep(dir, |name| name == WORLD_FILE_NAME)?;
+        let file = FORMAT.open(&Self::path_of(dir), mode)?;
         StoredWorld::from_file(file, expected_fingerprint)
     }
 
     /// [`WorldStore::open_with`], but a world file that fails validation
-    /// is **quarantined**: renamed to `world.sibworld.corrupt` and
-    /// reported as [`StoreError::Quarantined`], leaving the slot clean
-    /// for regeneration. Environmental errors (I/O) and fingerprint
-    /// mismatches (a valid store for a different config) pass through
-    /// unchanged.
+    /// is **quarantined** to `world.sibworld.corrupt` ([`sealed::quarantine`]).
+    /// Environmental errors (I/O) and fingerprint mismatches (a valid
+    /// store for a different config) pass through unchanged.
     pub fn open_quarantining(
         dir: &Path,
         expected_fingerprint: Option<u64>,
         mode: LoadMode,
     ) -> Result<StoredWorld, StoreError> {
-        match Self::open_with(dir, expected_fingerprint, mode) {
-            Err(reason) if reason.is_corruption() => {
-                let path = Self::path_of(dir);
-                let mut quarantined = path.clone().into_os_string();
-                quarantined.push(".corrupt");
-                let quarantined = PathBuf::from(quarantined);
-                // Best-effort: if the rename itself fails, regeneration
-                // still lands atomically over the bad file.
-                let _ = fs::rename(&path, &quarantined);
-                Err(StoreError::Quarantined {
-                    path: quarantined,
-                    reason: Box::new(reason),
-                })
-            }
-            other => other,
-        }
+        sealed::quarantine(
+            &Self::path_of(dir),
+            Self::open_with(dir, expected_fingerprint, mode),
+        )
     }
 }
 
@@ -574,7 +504,7 @@ impl<'a> SectionWalk<'a> {
 
     /// The next `len`-byte section, returning its offset.
     fn raw(&mut self, len: usize) -> Result<(usize, usize), StoreError> {
-        let off = wire::align16(self.off as u64) as usize;
+        let off = sealed::align16(self.off as u64) as usize;
         let end = off.checked_add(len).ok_or(StoreError::Corrupt(
             "section extends past the addressable range",
         ))?;
@@ -654,32 +584,8 @@ pub struct StoredWorld {
 impl StoredWorld {
     fn from_file(file: MapFile, expected_fingerprint: Option<u64>) -> Result<Self, StoreError> {
         let bytes = file.bytes();
-        if bytes.len() < HEADER_LEN as usize {
-            return Err(StoreError::Truncated {
-                expected: HEADER_LEN,
-                got: bytes.len() as u64,
-            });
-        }
-        if &bytes[0..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        if read_u32(bytes, 12) != ENDIAN_TAG {
-            return Err(StoreError::BadEndian);
-        }
-        let version = read_u32(bytes, 8);
-        if version != VERSION {
-            return Err(StoreError::BadVersion(version));
-        }
-        let file_len = read_u64(bytes, 32);
-        if file_len != bytes.len() as u64 {
-            return Err(StoreError::Truncated {
-                expected: file_len,
-                got: bytes.len() as u64,
-            });
-        }
-        if wire::checksum_skipping(bytes, CHECKSUM_RANGE) != read_u64(bytes, CHECKSUM_RANGE.start) {
-            return Err(StoreError::ChecksumMismatch);
-        }
+        FORMAT.check_header(bytes)?;
+        FORMAT.check_checksum(bytes)?;
         let fingerprint = read_u64(bytes, 16);
         if let Some(expected) = expected_fingerprint {
             if fingerprint != expected {
@@ -699,7 +605,7 @@ impl StoredWorld {
         let month_records = walk.records::<MonthRecord>(month_count)?;
         let mut months = Vec::with_capacity(month_count);
         for rec in month_records {
-            let date = wire::decode_date(rec.date)
+            let date = sealed::decode_date(rec.date)
                 .ok_or(StoreError::Corrupt("month date out of range"))?;
             if months.last().is_some_and(|(prev, _)| *prev >= date) {
                 return Err(StoreError::Corrupt("month directory not ascending"));
@@ -771,7 +677,7 @@ impl StoredWorld {
             return Err(StoreError::Corrupt("asdb entries not ascending"));
         }
         let (names_off, _) = walk.raw(names_len)?;
-        if walk.off as u64 != file_len {
+        if walk.off != bytes.len() {
             return Err(StoreError::Corrupt("trailing bytes after the names blob"));
         }
         let blob = &bytes[names_off..names_off + names_len];
@@ -1202,8 +1108,7 @@ mod tests {
         for i in 0..4 {
             bytes.swap(a + i, b + i);
         }
-        let checksum = wire::checksum_skipping(&bytes, CHECKSUM_RANGE);
-        put_u64(&mut bytes, CHECKSUM_RANGE.start, checksum);
+        FORMAT.seal(&mut bytes);
         fs::write(&path, &bytes).unwrap();
         match WorldStore::open(&dir, None) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("out of order"), "{msg}"),
@@ -1263,8 +1168,7 @@ mod tests {
         ));
         let mut bytes = original;
         put_u32(&mut bytes, 8, 99);
-        let checksum = wire::checksum_skipping(&bytes, CHECKSUM_RANGE);
-        put_u64(&mut bytes, CHECKSUM_RANGE.start, checksum);
+        FORMAT.seal(&mut bytes);
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             WorldStore::open(&dir, None),
@@ -1305,6 +1209,25 @@ mod tests {
         // Regenerate into the clean slot; reopen must be clean.
         write_sample(&dir);
         assert!(WorldStore::open_quarantining(&dir, Some(0xDEAD_BEEF), LoadMode::Mmap).is_ok());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn errors_for_world_and_journal_files_do_not_say_snapshot() {
+        let dir = temp_dir("wording");
+        let path = write_sample(&dir);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[HEADER_LEN as usize + 3] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+        let world = WorldStore::open(&dir, None).unwrap_err().to_string();
+        let journal = dir.join("ingest.sibjrnl");
+        fs::write(&journal, b"definitely not a journal, much longer").unwrap();
+        let journal = sibling_dns::IngestJournal::open(&journal)
+            .unwrap_err()
+            .to_string();
+        for text in [world, journal] {
+            assert!(!text.contains("snapshot"), "{text}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -239,7 +239,7 @@ impl WorldConfig {
     /// produce different fingerprints. Floats hash by bit pattern —
     /// the same strictness `World::generate` determinism relies on.
     pub fn fingerprint(&self) -> u64 {
-        use sibling_dns::wire;
+        use sibling_dns::sealed;
         let mut buf = Vec::with_capacity(256);
         fn f64s(buf: &mut Vec<u8>, v: f64) {
             buf.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -259,8 +259,8 @@ impl WorldConfig {
         }
         f64s(&mut buf, self.cross_org_unit_share);
         f64s(&mut buf, self.active_at_start_share);
-        u64s(&mut buf, u64::from(wire::encode_date(self.start)));
-        u64s(&mut buf, u64::from(wire::encode_date(self.end)));
+        u64s(&mut buf, u64::from(sealed::encode_date(self.start)));
+        u64s(&mut buf, u64::from(sealed::encode_date(self.end)));
         f64s(&mut buf, self.ds_share_start);
         f64s(&mut buf, self.ds_share_end);
         f64s(&mut buf, self.consistent_share);
@@ -274,7 +274,7 @@ impl WorldConfig {
         u64s(&mut buf, self.monitoring_v6 as u64);
         u64s(&mut buf, self.monitoring_outages.len() as u64);
         for date in &self.monitoring_outages {
-            u64s(&mut buf, u64::from(wire::encode_date(*date)));
+            u64s(&mut buf, u64::from(sealed::encode_date(*date)));
         }
         f64s(&mut buf, self.rpki_coverage_start);
         f64s(&mut buf, self.rpki_coverage_end);
@@ -282,7 +282,7 @@ impl WorldConfig {
         f64s(&mut buf, self.pod_responsive_rate);
         u64s(&mut buf, self.n_atlas_probes as u64);
         u64s(&mut buf, self.n_vps as u64);
-        wire::fnv1a_continue(wire::FNV_OFFSET, &buf)
+        sealed::fnv1a_continue(sealed::FNV_OFFSET, &buf)
     }
 
     /// Linear interpolation of the dual-stack share at `date`.

@@ -9,7 +9,8 @@
 //!   mid-`write_all`) leaves only an orphaned temp file the next open
 //!   sweeps; a failed rename leaves the store absent, never half
 //!   visible; a short read at open quarantines the month aside and the
-//!   regenerated month round-trips bit-identically.
+//!   regenerated month round-trips bit-identically. A journal reset whose
+//!   rename fails keeps every record, and its temp file is swept.
 //! - **Overload-resilient daemon.** A server under a failpoint schedule
 //!   (accept errors, write errors, injected answer panics) keeps
 //!   serving: every answer a retrying client completes is bit-identical
@@ -27,7 +28,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sibling_core::{BatchRun, DetectEngine, EngineConfig, EpochState, WindowQueryIndex};
-use sibling_dns::{encode_snapshot, LoadMode, SnapshotDelta, SnapshotStore, StoreError};
+use sibling_dns::{
+    encode_snapshot, IngestJournal, LoadMode, SnapshotDelta, SnapshotStore, StoreError,
+};
 use sibling_executor::ThreadPool;
 use sibling_failpoint as failpoint;
 use sibling_net_types::MonthDate;
@@ -369,6 +372,52 @@ fn crash_during_compaction_keeps_the_journal_as_the_durability() {
     assert!(SnapshotStore::open(&store_dir).unwrap().contains(to));
     let batch = WindowQueryIndex::publish(&score(&world, from, to)).expect("non-empty window");
     assert_eq!(stat_rows(live.published().pin().index()), stat_rows(&batch));
+}
+
+#[test]
+fn failed_journal_reset_keeps_every_record_and_its_temp_file_is_swept() {
+    let _guard = chaos_guard();
+    let scratch = Scratch::new("journal-reset");
+    let path = scratch.0.join("ingest.sibjrnl");
+    let world = World::generate(WorldConfig::test_tiny(37));
+    let months: Vec<MonthDate> = (0..4).map(|k| world.config.end.add_months(k - 3)).collect();
+    let deltas: Vec<SnapshotDelta> = months
+        .windows(2)
+        .map(|w| SnapshotDelta::diff(&world.snapshot(w[0]), &world.snapshot(w[1])))
+        .collect();
+    let is_tmp = |n: &str| n.ends_with(".tmp");
+
+    let (mut journal, _) = IngestJournal::open(&path).unwrap();
+    journal.append(&deltas[0]).unwrap();
+    journal.append(&deltas[1]).unwrap();
+
+    // The compaction reset dies between its fsync'd temp header and the
+    // rename over the journal.
+    failpoint::configure("journal-reset::rename", "once*return").unwrap();
+    let err = journal.reset().unwrap_err();
+    failpoint::clear("journal-reset::rename");
+    assert!(matches!(err, StoreError::Io(_)), "typed failure: {err}");
+    assert_eq!(files_matching(&scratch.0, is_tmp).len(), 1, "temp left");
+    assert_eq!((journal.record_count(), journal.last_seq()), (2, 2));
+
+    // The journal is intact: an append after the failure lands.
+    journal.append(&deltas[2]).unwrap();
+    drop(journal);
+
+    // Reopen: the temp file is swept and every record replays, its
+    // sequence numbers untouched by the failed reset.
+    let (mut journal, report) = IngestJournal::open(&path).unwrap();
+    assert!(files_matching(&scratch.0, is_tmp).is_empty());
+    assert_eq!(report.deltas, deltas);
+    assert_eq!((report.base_seq, journal.last_seq()), (0, 3));
+
+    // The retried reset succeeds and keeps the count.
+    journal.reset().unwrap();
+    assert_eq!((journal.record_count(), journal.last_seq()), (0, 3));
+    drop(journal);
+    let (journal, report) = IngestJournal::open(&path).unwrap();
+    assert!(report.deltas.is_empty());
+    assert_eq!((report.base_seq, journal.last_seq()), (3, 3));
 }
 
 #[test]
