@@ -18,14 +18,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use sibling_bench::{cached_snapshot_window, low_churn_world};
 use sibling_core::query::WindowQueryIndex;
-use sibling_core::DetectEngine;
-use sibling_dns::SnapshotFile;
-use sibling_service::QueryPlanner;
+use sibling_core::{DetectEngine, EngineConfig, EpochState};
+use sibling_dns::{DnsSnapshot, DomainId, SnapshotDelta, SnapshotFile};
+use sibling_service::{IngestSink, LiveWindow, QueryPlanner};
+use sibling_worldgen::World;
 
 /// Scores the cached 24-month window once and publishes it — what
 /// `sibling-cli serve` does at startup.
@@ -187,25 +189,22 @@ fn bench_query_throughput(c: &mut Criterion) {
     );
 }
 
-/// `ingest_throughput`: the live window's write path, measured — deltas
-/// journaled (fsync'd), applied and epoch-published over the same
-/// resident 24-month window, while a concurrent reader sustains queries
-/// against the published index. Records deltas/sec applied and the
-/// reader's qps *during* ingest into `target/bench.json` — the epoch
-/// swap is the only writer/reader touch point, so reads should barely
-/// notice the writer.
-fn bench_ingest_throughput(c: &mut Criterion) {
-    use sibling_core::{EngineConfig, EpochState};
-    use sibling_dns::{DnsSnapshot, DomainId, SnapshotDelta};
-    use sibling_service::{IngestSink, LiveWindow};
-
-    let months = 24i32;
-    let world = low_churn_world(2024);
+/// A live window over the last `months` months of the cached low-churn
+/// window, journaling to `journal`, with a planner reading it and the
+/// delta pair it ingests: a same-month retarget adding one synthetic
+/// domain to the tail snapshot, and its inverse — the steady-state
+/// trickle a live feed applies between monthly appends. Alternating
+/// them keeps every ingest valid forever.
+fn live_window(
+    world: &World,
+    months: i32,
+    journal: &Path,
+) -> (Box<dyn IngestSink>, QueryPlanner, [SnapshotDelta; 2]) {
     let day0 = world.config.end;
     let from = day0.add_months(-(months - 1));
     let archive = world.rib_archive();
     let snaps: Vec<Arc<SnapshotFile>> =
-        cached_snapshot_window("low-churn-small-2024", &world, from, day0);
+        cached_snapshot_window("low-churn-small-2024", world, from, day0);
     let mut engine = DetectEngine::default();
     let run = engine
         .run_window(from, day0, &archive, |d| {
@@ -220,18 +219,8 @@ fn bench_ingest_throughput(c: &mut Criterion) {
         Arc::clone(&tail),
     )
     .expect("window seeds");
-    let dir = std::env::temp_dir().join(format!("sibling-bench-ingest-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal = dir.join("ingest.sibjrnl");
-    let (mut live, _) =
-        LiveWindow::recover(epoch, index, &journal, None).expect("live window recovers");
+    let (live, _) = LiveWindow::recover(epoch, index, journal, None).expect("live window recovers");
     let planner = QueryPlanner::live(live.published());
-
-    // The delta pair: a same-month retarget adding one synthetic domain
-    // to the tail snapshot, and its inverse — the steady-state trickle a
-    // live feed applies between monthly appends. Alternating them keeps
-    // every ingest valid forever.
     let mut variant = (*tail).clone();
     variant.merge(
         DomainId(u32::MAX - 1),
@@ -240,26 +229,26 @@ fn bench_ingest_throughput(c: &mut Criterion) {
             0x2600, 1, 0, 0, 0, 0, 0, 0xbeef,
         ))],
     );
-    let fwd = SnapshotDelta::diff(&tail, &variant);
-    let rev = SnapshotDelta::diff(&variant, &tail);
+    let deltas = [
+        SnapshotDelta::diff(&tail, &variant),
+        SnapshotDelta::diff(&variant, &tail),
+    ];
+    (Box::new(live), planner, deltas)
+}
 
-    let mut group = c.benchmark_group("ingest_throughput");
-    let mut flip = false;
-    group.bench_function("small_retarget", |b| {
-        b.iter(|| {
-            let delta = if flip { &rev } else { &fwd };
-            flip = !flip;
-            black_box(live.ingest(delta).expect("retarget applies"))
-        })
-    });
-    group.finish();
-
-    // The measured run: one writer streaming deltas while one reader
-    // hammers the published window with the mixed corpus.
-    let (_, _, _, mixed) = query_corpus(&planner);
+/// The measured run: one writer streaming 100 alternating `deltas` into
+/// `sink` while one reader hammers `planner` with the mixed corpus.
+/// Returns deltas/sec, the reader's qps during ingest, and the last
+/// published epoch.
+fn measure_ingest(
+    sink: &mut dyn IngestSink,
+    planner: &QueryPlanner,
+    deltas: &[SnapshotDelta; 2],
+) -> (f64, f64, u64) {
+    let (_, _, _, mixed) = query_corpus(planner);
     let stop = std::sync::atomic::AtomicBool::new(false);
     let total = 100usize;
-    let (dps, reader_qps) = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let reader = {
             let planner = planner.clone();
             let mixed = &mixed;
@@ -277,28 +266,60 @@ fn bench_ingest_throughput(c: &mut Criterion) {
             })
         };
         let start = Instant::now();
+        let mut epoch = 0;
         for i in 0..total {
-            let delta = if i % 2 == 0 { &fwd } else { &rev };
-            live.ingest(delta).expect("retarget applies");
+            epoch = sink.ingest(&deltas[i % 2]).expect("retarget applies");
         }
         let dps = total as f64 / start.elapsed().as_secs_f64();
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        (dps, reader.join().expect("reader thread"))
+        (dps, reader.join().expect("reader thread"), epoch)
+    })
+}
+
+/// `ingest_throughput`: the live window's write path, measured — deltas
+/// journaled (fsync'd), applied and epoch-published over the same
+/// resident 24-month window, while a concurrent reader sustains queries
+/// against the published index. Records deltas/sec applied and the
+/// reader's qps *during* ingest into `target/bench.json` — the epoch
+/// swap is the only writer/reader touch point, so reads should barely
+/// notice the writer. The same stream over a 6-month window of the same
+/// world is recorded as `deltas_per_sec_6m`: an ingest costs what
+/// changed, so the two rates should match.
+fn bench_ingest_throughput(c: &mut Criterion) {
+    let world = low_churn_world(2024);
+    let dir = std::env::temp_dir().join(format!("sibling-bench-ingest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut live, planner, deltas) = live_window(&world, 24, &dir.join("ingest.sibjrnl"));
+
+    let mut group = c.benchmark_group("ingest_throughput");
+    let mut flip = false;
+    group.bench_function("small_retarget", |b| {
+        b.iter(|| {
+            let delta = &deltas[usize::from(flip)];
+            flip = !flip;
+            black_box(live.ingest(delta).expect("retarget applies"))
+        })
     });
+    group.finish();
+
+    let (dps, reader_qps, epoch) = measure_ingest(&mut *live, &planner, &deltas);
     println!(
         "[ingest] {dps:.0} deltas/sec applied+published; reader sustained {reader_qps:.0} qps \
-         during ingest; final epoch {}",
-        live.published().epoch()
+         during ingest; final epoch {epoch}"
     );
     c.record_value("ingest_throughput/deltas_per_sec", dps as u64);
     c.record_value(
         "ingest_throughput/reader_qps_during_ingest",
         reader_qps as u64,
     );
-    c.record_value(
-        "ingest_throughput/epochs_published",
-        live.published().epoch(),
-    );
+    c.record_value("ingest_throughput/epochs_published", epoch);
+
+    let (mut short, short_planner, short_deltas) =
+        live_window(&world, 6, &dir.join("ingest-6m.sibjrnl"));
+    let (dps_6m, _, _) = measure_ingest(&mut *short, &short_planner, &short_deltas);
+    println!("[ingest] 6-month window: {dps_6m:.0} deltas/sec (24 months: {dps:.0})");
+    c.record_value("ingest_throughput/deltas_per_sec_6m", dps_6m as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -349,10 +349,12 @@ impl CandidateIndex {
 }
 
 /// Carried state of an incremental window walk, generic over the
-/// snapshot handle `H` — an `Arc<DnsSnapshot>` for regenerated worlds or
-/// an `Arc<sibling_dns::SnapshotFile>` for zero-copy store-backed runs —
-/// and the routing-table handle `R` (any [`RibSource`]; `Arc<Rib>` for
-/// regenerated worlds, a store-backed mmap table otherwise).
+/// snapshot handle `H` — an `Arc<DnsSnapshot>` for regenerated worlds,
+/// an `Arc<sibling_dns::SnapshotFile>` for zero-copy store-backed runs,
+/// or just the month for the live writer (which keeps the snapshot
+/// itself) — and the routing-table handle `R` (any [`RibSource`];
+/// `Arc<Rib>` for regenerated worlds, a store-backed mmap table
+/// otherwise).
 pub(crate) struct WindowState<H, R> {
     /// The snapshot the index currently reflects.
     snapshot: H,
@@ -394,11 +396,11 @@ impl<H, R> WindowState<H, R> {
     }
 }
 
-impl<H, R> WindowState<H, R>
-where
-    H: SnapshotSource + Clone,
-    R: RibSource,
-{
+/// The live epoch writer's serial window. The writer owns its tail
+/// snapshot and patches it in place, so the carried handle here is only
+/// the tail's date: holding the snapshot itself would be a second
+/// reference that makes every in-place patch copy it.
+impl<R: RibSource> WindowState<MonthDate, R> {
     /// The routing table the carried index was built against (the live
     /// epoch writer gates delta application on
     /// [`RibSource::same_table`] identity, exactly like the batch
@@ -415,13 +417,13 @@ where
     /// counts anyway (the engine's assembly contract), so the live path
     /// and the pooled batch path agree exactly.
     pub(crate) fn seed_serial(
-        snapshot: H,
+        snapshot: &DnsSnapshot,
         rib: R,
         config: &EngineConfig,
         arena: &SetArena,
         superseded: Option<Self>,
     ) -> Self {
-        let index = PrefixDomainIndex::build_source_with_arena(&snapshot, &rib, arena);
+        let index = PrefixDomainIndex::build_with_arena(snapshot, &rib, arena);
         if let Some(old) = superseded {
             // As in the pooled seed: release the superseded index only
             // *after* the new one is interned, so recurring sets dedup
@@ -437,7 +439,7 @@ where
         let candidates = CandidateIndex::seed(&index, shard_count);
         let placeholder: OutcomeSlot = Arc::new(Slot::ready(Arc::new(ShardOutcome::default())));
         let mut state = Self {
-            snapshot,
+            snapshot: snapshot.date(),
             rib,
             index,
             shard_count,
@@ -459,16 +461,11 @@ where
     /// rescored.
     pub(crate) fn apply_delta(
         &mut self,
-        snapshot: H,
         delta: &SnapshotDelta,
         arena: &SetArena,
         metric: SimilarityMetric,
     ) -> usize {
-        debug_assert_eq!(
-            delta.from_date(),
-            self.snapshot.snapshot_date(),
-            "delta base"
-        );
+        debug_assert_eq!(delta.from_date(), self.snapshot, "delta base");
         let report = self.index.apply_delta(delta, &self.rib, arena);
         let shard_count = self.shard_count;
         let mut dirty = vec![false; shard_count];
@@ -494,7 +491,7 @@ where
             .collect();
         let rescored = dirty.len();
         self.rescore_serial(dirty, metric);
-        self.snapshot = snapshot;
+        self.snapshot = delta.to_date();
         rescored
     }
 

@@ -9,11 +9,12 @@
 //!
 //! ```text
 //!            ┌────────────── EpochState (writer-private) ──────────────┐
-//!  delta ──▶ │ validate → WindowState::apply_delta → rescore dirty     │
-//!            │ shards → assemble tail set → WindowQueryIndex::build    │
+//!  delta ──▶ │ validate → patch tail snapshot in place (undo log) →    │
+//!            │ WindowState::apply_delta → rescore dirty shards →       │
+//!            │ assemble tail set → WindowQueryIndex::with_tail         │
 //!            └───────────────┬─────────────────────────────────────────┘
-//!                            │ Arc<WindowQueryIndex>  (one per epoch)
-//!                            ▼
+//!                            │ Arc<WindowQueryIndex>  (one per epoch;
+//!                            ▼  all months but the tail shared)
 //!                 PublishedWindow::swap  ──▶ readers pin per request
 //! ```
 //!
@@ -21,27 +22,31 @@
 //! patched [`crate::PrefixDomainIndex`], per-shard cached outcomes and
 //! the structural candidate index) **serially**: every ingest patches
 //! the index in place, rescores exactly the dirty shards inline, and
-//! rebuilds the query index from the retained per-month sibling sets.
-//! Because the serial path mirrors the batch driver's order exactly and
-//! the engine's assembly is shard-count-independent, the published
-//! index after any ingest sequence is **bit-identical** to a batch
-//! recompute over the same snapshots (property-tested at the facade).
+//! derives the next query index from the committed one — the tail month
+//! is replaced or one month appended, every other month shared. The
+//! tail snapshot is patched in place too, never copied, so an ingest
+//! costs what changed, not the window's length. Because the serial path
+//! mirrors the batch driver's order exactly and the engine's assembly is
+//! shard-count-independent, the published index after any ingest
+//! sequence is **bit-identical** to a batch recompute over the same
+//! snapshots (property-tested at the facade).
 //!
 //! **Failure is invisible.** If validation rejects the delta, the
 //! caller's pre-publish hook aborts, or the patch itself panics, the
-//! writer rolls back to the last published generation: the retained
-//! results are restored and the window state is reseeded from the
-//! committed tail snapshot (the possibly half-patched index's sets
-//! drain through the arena graveyard and [`SetArena::sweep`]). Readers
-//! can never observe a torn generation because the only reader-visible
-//! action is the `Arc` swap the caller performs *after* a successful
-//! ingest.
+//! writer rolls back to the last published generation: the tail patch
+//! is undone from the entries it replaced (never from the delta's
+//! unchecked `old` fields), the retained results are restored and the
+//! window state is reseeded from the committed tail snapshot (the
+//! possibly half-patched index's sets drain through the arena graveyard
+//! and [`SetArena::sweep`]). Readers can never observe a torn generation
+//! because the only reader-visible action is the `Arc` swap the caller
+//! performs *after* a successful ingest.
 
 use std::fmt;
 use std::sync::Arc;
 
 use sibling_bgp::{RibArchive, RibSource};
-use sibling_dns::{DnsSnapshot, SnapshotDelta};
+use sibling_dns::{DnsSnapshot, SnapshotDelta, SnapshotUndo};
 use sibling_net_types::MonthDate;
 
 use crate::arena::SetArena;
@@ -137,13 +142,17 @@ pub struct EpochState<R: RibSource + Clone> {
     /// Carried incremental state — `Some` between operations; taken
     /// only momentarily during reseeds. Boxed indirection is avoided on
     /// purpose: the state is large but moved rarely.
-    state: Option<WindowState<Arc<DnsSnapshot>, R>>,
+    state: Option<WindowState<MonthDate, R>>,
     /// The committed tail snapshot (what the published generation's
-    /// last month reflects). Rollback reseeds from here.
+    /// last month reflects). Ingest patches it in place; rollback
+    /// reverts the patch and reseeds from here.
     tail: Arc<DnsSnapshot>,
     /// The committed per-month results, ascending — the exact input of
-    /// the published [`WindowQueryIndex`].
+    /// the published [`WindowQueryIndex`], whose months share these
+    /// sets' pairs.
     results: Vec<(MonthDate, SiblingSet)>,
+    /// The committed generation; the next one derives from it.
+    index: Arc<WindowQueryIndex>,
 }
 
 impl<R: RibSource + Clone> fmt::Debug for EpochState<R> {
@@ -183,7 +192,7 @@ impl<R: RibSource + Clone> EpochState<R> {
             .at_or_before(tail.date())
             .ok_or(IngestError::MissingRib(tail.date()))?;
         let arena = SetArena::default();
-        let state = WindowState::seed_serial(Arc::clone(&tail), rib, &config, &arena, None);
+        let state = WindowState::seed_serial(&tail, rib, &config, &arena, None);
         Ok((
             Self {
                 config,
@@ -192,6 +201,7 @@ impl<R: RibSource + Clone> EpochState<R> {
                 state: Some(state),
                 tail,
                 results,
+                index: Arc::clone(&index),
             },
             index,
         ))
@@ -202,7 +212,8 @@ impl<R: RibSource + Clone> EpochState<R> {
         self.tail.date()
     }
 
-    /// The committed tail snapshot.
+    /// The committed tail snapshot. A clone of this `Arc` held across
+    /// the next ingest makes that ingest copy the tail before patching.
     pub fn tail_snapshot(&self) -> &Arc<DnsSnapshot> {
         &self.tail
     }
@@ -239,13 +250,18 @@ impl<R: RibSource + Clone> EpochState<R> {
     }
 
     /// Ingests one delta into the private generation and returns the
-    /// freshly built replacement index for the caller to swap into its
+    /// next generation's index for the caller to swap into its
     /// [`crate::PublishedWindow`].
     ///
     /// * `delta.from` must be the committed tail month.
     /// * `delta.to == tail` is an **intra-month retarget**: the tail
     ///   month's result is replaced.
     /// * `delta.to > tail` **appends a month** to the window.
+    ///
+    /// The work is proportional to churn: the tail snapshot is patched
+    /// in place (copied first only if a caller still holds a clone of
+    /// [`EpochState::tail_snapshot`]), and the index is derived from the
+    /// committed one with [`WindowQueryIndex::with_tail`].
     ///
     /// `pre_publish` runs after the generation is fully built but
     /// before commit — the serving layer's last-chance abort hook
@@ -261,39 +277,34 @@ impl<R: RibSource + Clone> EpochState<R> {
         F: FnOnce() -> Result<(), String>,
     {
         self.validate(delta)?;
-        let tail_date = self.tail.date();
         let rib = self
             .archive
             .at_or_before(delta.to_date())
             .expect("validated above");
-        let new_tail = Arc::new(delta.apply(&self.tail));
-        let append = delta.to_date() > tail_date;
-        // Rollback capture: the month count before, and (for retargets)
-        // the committed tail set the attempt overwrites in place.
+        let append = delta.to_date() > self.tail.date();
+        // Rollback capture: the month count before, (for retargets) the
+        // committed tail set the attempt overwrites, and the undo log of
+        // the tail patch.
         let committed_len = self.results.len();
         let saved_tail = if append {
             None
         } else {
             Some(self.results.last().expect("seeded non-empty").clone())
         };
+        let undo = delta.apply_in_place(Arc::make_mut(&mut self.tail));
 
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
             || -> Result<Arc<WindowQueryIndex>, IngestError> {
                 let state = self.state.as_mut().expect("state seeded");
                 if state.rib().same_table(&rib) {
-                    state.apply_delta(
-                        Arc::clone(&new_tail),
-                        delta,
-                        &self.arena,
-                        self.config.metric,
-                    );
+                    state.apply_delta(delta, &self.arena, self.config.metric);
                 } else {
                     // A different RIB invalidates every domain→prefix
                     // mapping: reseed the whole window state at the new
                     // month, exactly like the batch driver.
                     let superseded = self.state.take();
                     self.state = Some(WindowState::seed_serial(
-                        Arc::clone(&new_tail),
+                        &self.tail,
                         rib,
                         &self.config,
                         &self.arena,
@@ -305,37 +316,44 @@ impl<R: RibSource + Clone> EpochState<R> {
                     .as_ref()
                     .expect("state seeded")
                     .assemble_set(self.config.policy);
+                let index = Arc::new(self.index.with_tail(delta.to_date(), set.clone())?);
                 if append {
                     self.results.push((delta.to_date(), set));
                 } else {
                     *self.results.last_mut().expect("seeded non-empty") = (delta.to_date(), set);
                 }
-                let index = Arc::new(WindowQueryIndex::build(&self.results)?);
                 pre_publish().map_err(IngestError::Aborted)?;
                 Ok(index)
             },
         ));
         match attempt {
             Ok(Ok(index)) => {
-                self.tail = new_tail;
+                self.index = Arc::clone(&index);
                 self.arena.sweep();
                 Ok(index)
             }
             Ok(Err(err)) => {
-                self.rollback(committed_len, saved_tail);
+                self.rollback(committed_len, saved_tail, undo);
                 Err(err)
             }
             Err(payload) => {
-                self.rollback(committed_len, saved_tail);
+                self.rollback(committed_len, saved_tail, undo);
                 Err(IngestError::Panicked(panic_message(payload)))
             }
         }
     }
 
-    /// Discards the (possibly half-patched) private generation and
-    /// reseeds from the committed tail: results restored, window state
-    /// rebuilt, superseded sets swept through the arena graveyard.
-    fn rollback(&mut self, committed_len: usize, saved_tail: Option<(MonthDate, SiblingSet)>) {
+    /// Discards the (possibly half-patched) private generation: the tail
+    /// patch is undone, results restored, the window state reseeded from
+    /// the committed tail and superseded sets swept through the arena
+    /// graveyard.
+    fn rollback(
+        &mut self,
+        committed_len: usize,
+        saved_tail: Option<(MonthDate, SiblingSet)>,
+        undo: SnapshotUndo,
+    ) {
+        undo.revert(Arc::make_mut(&mut self.tail));
         self.results.truncate(committed_len);
         if let Some(saved) = saved_tail {
             *self.results.last_mut().expect("seeded non-empty") = saved;
@@ -346,7 +364,7 @@ impl<R: RibSource + Clone> EpochState<R> {
             .expect("rib resolved at seed time");
         let superseded = self.state.take();
         self.state = Some(WindowState::seed_serial(
-            Arc::clone(&self.tail),
+            &self.tail,
             rib,
             &self.config,
             &self.arena,
@@ -361,7 +379,7 @@ mod tests {
     use super::*;
     use crate::engine::DetectEngine;
     use sibling_bgp::Rib;
-    use sibling_dns::DomainId;
+    use sibling_dns::{DomainChange, DomainId};
     use sibling_net_types::{Asn, Ipv4Prefix, Ipv6Prefix};
 
     fn a4(s: &str) -> u32 {
@@ -539,17 +557,62 @@ mod tests {
         assert_eq!(err, IngestError::Aborted("injected".to_string()));
         assert_eq!(epoch.tail_date(), month(1));
         assert_results_equal(epoch.results(), &committed);
+        assert_eq!(**epoch.tail_snapshot(), *s1, "append patch undone");
 
         // Panic inside the hook: rolled back, typed error.
         let err = epoch.ingest(&delta, || panic!("chaos")).unwrap_err();
         assert_eq!(err, IngestError::Panicked("chaos".to_string()));
         assert_eq!(epoch.tail_date(), month(1));
         assert_results_equal(epoch.results(), &committed);
+        assert_eq!(**epoch.tail_snapshot(), *s1, "append patch undone");
+
+        // A rolled-back retarget restores the tail too.
+        let s1b = snap(
+            month(1),
+            &[(1, "203.0.1.1", "2600:2::1"), (2, "203.0.1.2", "2600:2::2")],
+        );
+        let retarget = SnapshotDelta::diff(&s1, &s1b);
+        let err = epoch.ingest(&retarget, || panic!("chaos")).unwrap_err();
+        assert_eq!(err, IngestError::Panicked("chaos".to_string()));
+        assert_results_equal(epoch.results(), &committed);
+        assert_eq!(**epoch.tail_snapshot(), *s1, "retarget patch undone");
+
+        // The client supplies `old` and nothing checks it: a delta whose
+        // `old` fields contradict the tail (domain 1 claimed absent,
+        // domain 9 claimed present) still rolls back to the exact tail.
+        // The index patch trusts `old` too, and a debug build's
+        // consistency assert may panic before the hook does.
+        let lying = SnapshotDelta::from_changes(
+            month(1),
+            month(1),
+            vec![
+                DomainChange {
+                    domain: DomainId(1),
+                    old: None,
+                    new: s2.get(DomainId(1)).cloned(),
+                },
+                DomainChange {
+                    domain: DomainId(2),
+                    old: s2.get(DomainId(1)).cloned(),
+                    new: None,
+                },
+                DomainChange {
+                    domain: DomainId(9),
+                    old: s2.get(DomainId(2)).cloned(),
+                    new: None,
+                },
+            ],
+        );
+        let err = epoch.ingest(&lying, || panic!("chaos")).unwrap_err();
+        assert!(matches!(err, IngestError::Panicked(_)), "{err}");
+        assert_results_equal(epoch.results(), &committed);
+        assert_eq!(**epoch.tail_snapshot(), *s1, "patch undone exactly");
 
         // The same delta still applies cleanly afterwards, and the
         // result equals the batch recompute (rollback left no residue).
         let index = epoch.ingest(&delta, || Ok(())).unwrap();
         assert_eq!(index.months(), &[month(1), month(2)]);
-        assert_results_equal(epoch.results(), &recompute(&[s1, s2]));
+        assert_results_equal(epoch.results(), &recompute(&[s1, Arc::clone(&s2)]));
+        assert_eq!(**epoch.tail_snapshot(), *s2);
     }
 }

@@ -1,6 +1,7 @@
 //! Steps 3–4 of the methodology: pair similarity and best-match selection.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix};
 
@@ -42,9 +43,13 @@ pub enum BestMatchPolicy {
 }
 
 /// The detected sibling pair set for one snapshot.
+///
+/// The pairs are immutable once built, so they live behind an `Arc`:
+/// cloning a set (into a batch result, a query index generation, the
+/// live writer's retained window) bumps a refcount instead of copying.
 #[derive(Debug, Clone, Default)]
 pub struct SiblingSet {
-    pairs: Vec<SiblingPair>,
+    pairs: Arc<[SiblingPair]>,
 }
 
 impl SiblingSet {
@@ -53,7 +58,9 @@ impl SiblingSet {
     pub fn from_pairs(mut pairs: Vec<SiblingPair>) -> Self {
         pairs.sort_by_key(|p| (p.v4, p.v6));
         pairs.dedup_by_key(|p| (p.v4, p.v6));
-        Self { pairs }
+        Self {
+            pairs: pairs.into(),
+        }
     }
 
     /// Number of sibling pairs.

@@ -23,7 +23,14 @@
 //!
 //! The index is **immutable after publish** ([`WindowQueryIndex::publish`]
 //! hands out an `Arc`), so any number of reader threads answer queries
-//! with zero locks and zero allocation on the lookup path. Determinism:
+//! with zero locks and zero allocation on the lookup path. A live window
+//! publishes one generation per ingested delta, and
+//! [`WindowQueryIndex::with_tail`] derives it from the committed one: a
+//! month's pair vector and posting columns are immutable `Arc` slices,
+//! so every month but the new tail is shared between the generations
+//! (the months stay inline in the index's vector, so sharing adds no
+//! pointer hop to a lookup) and a publish costs one month's pivot, not
+//! the window's. Determinism:
 //! every answer is derived from the exact pair vectors the batch run
 //! produced — a point/history answer *is* the batch pair, and the top-k
 //! ranking is a pure function of (similarity, partner prefix) with exact
@@ -69,12 +76,14 @@ impl std::error::Error for QueryIndexError {}
 /// `keys` is sorted; `offsets[i]..offsets[i+1]` delimits key `i`'s run in
 /// `ranked`, whose entries index the month's pair vector in ranked order
 /// (similarity descending — exact [`crate::Ratio`] comparison — then
-/// partner prefix ascending, so ties have one canonical order).
-#[derive(Debug, Default)]
+/// partner prefix ascending, so ties have one canonical order). The
+/// columns are immutable once built and `Arc`-shared between index
+/// generations.
+#[derive(Debug, Clone)]
 struct PostingTable<P> {
-    keys: Vec<P>,
-    offsets: Vec<u32>,
-    ranked: Vec<u32>,
+    keys: Arc<[P]>,
+    offsets: Arc<[u32]>,
+    ranked: Arc<[u32]>,
 }
 
 impl<P: Ord + Copy> PostingTable<P> {
@@ -94,9 +103,9 @@ impl<P: Ord + Copy> PostingTable<P> {
         }
         offsets.push(ranked.len() as u32);
         Self {
-            keys,
-            offsets,
-            ranked,
+            keys: keys.into(),
+            offsets: offsets.into(),
+            ranked: ranked.into(),
         }
     }
 
@@ -160,8 +169,9 @@ impl MonthStats {
     }
 }
 
-/// One month's pivoted read structures.
-#[derive(Debug)]
+/// One month's pivoted read structures. Cloning shares every column
+/// (refcount bumps), which is how index generations share months.
+#[derive(Debug, Clone)]
 struct MonthPostings {
     /// The month's sibling set exactly as the batch run produced it
     /// (sorted by `(v4, v6)` — the point-query structure).
@@ -272,6 +282,35 @@ impl WindowQueryIndex {
             .enumerate()
             .map(|(i, (date, set))| MonthPostings::build(*date, set.clone(), &mut ledger, i == 0))
             .collect();
+        Ok(Self { months, monthly })
+    }
+
+    /// The next generation of this index, with `set` as the month at
+    /// `date`: `date` equal to the last month replaces it (an intra-month
+    /// retarget), a later `date` appends a month. Every other month is
+    /// shared with `self`, not rebuilt, so the cost is one month's pivot
+    /// whatever the window's length. The result equals
+    /// [`WindowQueryIndex::build`] over the same months.
+    ///
+    /// The new month's `stats` delta comes from a fresh [`PairLedger`]
+    /// advanced over the previous month and then `set`: the ledger
+    /// carries exactly the last month's pairs, so this matches the
+    /// full walk. An earlier `date` is [`QueryIndexError::UnsortedWindow`].
+    pub fn with_tail(&self, date: MonthDate, set: SiblingSet) -> Result<Self, QueryIndexError> {
+        let (_, tail) = self.bounds();
+        let kept = match date.cmp(&tail) {
+            std::cmp::Ordering::Less => return Err(QueryIndexError::UnsortedWindow),
+            std::cmp::Ordering::Equal => self.monthly.len() - 1,
+            std::cmp::Ordering::Greater => self.monthly.len(),
+        };
+        let mut ledger = PairLedger::new();
+        if let Some(previous) = kept.checked_sub(1) {
+            ledger.advance(&self.monthly[previous].set);
+        }
+        let mut months = self.months[..kept].to_vec();
+        months.push(date);
+        let mut monthly = self.monthly[..kept].to_vec();
+        monthly.push(MonthPostings::build(date, set, &mut ledger, kept == 0));
         Ok(Self { months, monthly })
     }
 
@@ -593,6 +632,127 @@ mod tests {
         let fresh = published.pin();
         assert_eq!(fresh.epoch(), 2);
         assert_eq!(fresh.index().months(), &[month(1), month(3)]);
+    }
+
+    #[test]
+    fn next_generation_shares_every_month_but_the_new_one() {
+        let index = two_month_fixture();
+        let set_ptrs = |index: &WindowQueryIndex| -> Vec<*const SiblingPair> {
+            index
+                .months()
+                .iter()
+                .map(|d| index.month(*d).unwrap().set().as_slice().as_ptr())
+                .collect()
+        };
+        let fresh = || SiblingSet::from_pairs(vec![pair("10.0.7.0/24", "2600:7::/48", 1, 1)]);
+
+        // A retarget replaces the tail; the month before is shared.
+        let retargeted = index.with_tail(month(2), fresh()).unwrap();
+        assert_eq!(retargeted.months(), &[month(1), month(2)]);
+        let (before, after) = (set_ptrs(&index), set_ptrs(&retargeted));
+        assert_eq!(after[0], before[0]);
+        assert_ne!(after[1], before[1]);
+
+        // An append shares every earlier month.
+        let appended = retargeted.with_tail(month(3), fresh()).unwrap();
+        assert_eq!(appended.months(), &[month(1), month(2), month(3)]);
+        assert_eq!(set_ptrs(&appended)[..2], set_ptrs(&retargeted)[..]);
+
+        // A month before the tail is not a next generation.
+        assert_eq!(
+            appended.with_tail(month(2), fresh()).unwrap_err(),
+            QueryIndexError::UnsortedWindow
+        );
+    }
+
+    /// Every answer of `got` equals `want`'s: months, stats rows, and the
+    /// point, partners and history answers over the `ids` prefix space.
+    fn assert_same_answers(got: &WindowQueryIndex, want: &WindowQueryIndex, ids: u32) {
+        assert_eq!(got.months(), want.months());
+        let rows = |index: &WindowQueryIndex| -> Vec<String> {
+            index.stats().map(|s| s.batch_row()).collect()
+        };
+        assert_eq!(rows(got), rows(want));
+        assert_eq!(got.total_pairs(), want.total_pairs());
+        let (lo, hi) = want.bounds();
+        for a in 0..ids {
+            let v4: Ipv4Prefix = format!("10.0.{a}.0/24").parse().unwrap();
+            for b in 0..ids {
+                let v6: Ipv6Prefix = format!("2600:{}::/48", b + 1).parse().unwrap();
+                let history = |index: &WindowQueryIndex| -> Vec<(MonthDate, SiblingPair)> {
+                    index
+                        .history(&v4, &v6, lo, hi)
+                        .map(|(d, p)| (d, *p))
+                        .collect()
+                };
+                assert_eq!(history(got), history(want));
+                for &date in want.months() {
+                    let (g, w) = (got.month(date).unwrap(), want.month(date).unwrap());
+                    assert_eq!(g.point(&v4, &v6), w.point(&v4, &v6));
+                    let partners = |view: MonthView<'_>, prefix: AnyPrefix| -> Vec<SiblingPair> {
+                        view.partners(&prefix, 0).copied().collect()
+                    };
+                    assert_eq!(
+                        partners(g, AnyPrefix::V4(v4)),
+                        partners(w, AnyPrefix::V4(v4))
+                    );
+                    assert_eq!(
+                        partners(g, AnyPrefix::V6(v6)),
+                        partners(w, AnyPrefix::V6(v6))
+                    );
+                }
+            }
+        }
+    }
+
+    /// Property: over any sequence of appends and retargets, the index
+    /// each `with_tail` derives answers exactly like a full
+    /// [`WindowQueryIndex::build`] over the same month sets.
+    #[test]
+    fn prop_with_tail_equals_full_build() {
+        use proptest::test_runner::TestRunner;
+        let mut runner = TestRunner::default();
+        let ids = 4u32;
+        let month_rows = || proptest::collection::vec((0..ids, 0..ids, 1u64..5), 0..12);
+        // Each step: 1 appends a month, 0 retargets the tail.
+        let strategy = (
+            month_rows(),
+            proptest::collection::vec((0u8..2, month_rows()), 1..8),
+        );
+        let set_of = |rows: &[(u32, u32, u64)]| {
+            SiblingSet::from_pairs(
+                rows.iter()
+                    .map(|(a, b, num)| {
+                        pair(
+                            &format!("10.0.{a}.0/24"),
+                            &format!("2600:{}::/48", b + 1),
+                            *num,
+                            4,
+                        )
+                    })
+                    .collect(),
+            )
+        };
+        runner
+            .run(&strategy, |(first, steps)| {
+                let mut results = vec![(month(1), set_of(&first))];
+                let mut index = WindowQueryIndex::build(&results).unwrap();
+                for (append, rows) in steps {
+                    let set = set_of(&rows);
+                    let last = results.last().unwrap().0;
+                    if append == 1 {
+                        let date = last.add_months(1);
+                        index = index.with_tail(date, set.clone()).unwrap();
+                        results.push((date, set));
+                    } else {
+                        index = index.with_tail(last, set.clone()).unwrap();
+                        *results.last_mut().unwrap() = (last, set);
+                    }
+                    assert_same_answers(&index, &WindowQueryIndex::build(&results).unwrap(), ids);
+                }
+                Ok(())
+            })
+            .unwrap();
     }
 
     /// Property: every query family answers bit-identically to a

@@ -13,6 +13,13 @@
 //! `SnapshotDelta::diff(a, b).apply(a) == b` for any two snapshots,
 //! including the empty delta (`a == b`) and full turnover (disjoint
 //! domain sets) — property-tested below.
+//!
+//! A live writer that owns its snapshot patches it with
+//! [`SnapshotDelta::apply_in_place`] instead, at a cost proportional to
+//! churn. The returned [`SnapshotUndo`] records the entries the patch
+//! actually replaced, so [`SnapshotUndo::revert`] restores the base
+//! exactly whatever the delta's (caller-supplied, unchecked) `old`
+//! fields say.
 
 use sibling_net_types::MonthDate;
 
@@ -190,18 +197,43 @@ impl SnapshotDelta {
     /// addresses and removed domains are deleted. The result carries the
     /// delta's target date. `apply(diff(a, b), a) == b` exactly.
     pub fn apply(&self, base: &DnsSnapshot) -> DnsSnapshot {
-        debug_assert_eq!(base.date(), self.from, "delta applied to its base");
         let mut out = base.clone();
-        out.set_date(self.to);
-        for change in &self.changes {
-            match &change.new {
-                Some(addrs) => out.insert(change.domain, addrs.clone()),
-                None => {
-                    out.remove(change.domain);
-                }
-            }
-        }
+        let _ = self.apply_in_place(&mut out);
         out
+    }
+
+    /// [`SnapshotDelta::apply`] without the copy: patches `snapshot`
+    /// into the target and returns the undo log that restores it. Costs
+    /// one map operation per change. The log keeps what each operation
+    /// handed back, never the delta's `old` fields.
+    pub fn apply_in_place(&self, snapshot: &mut DnsSnapshot) -> SnapshotUndo {
+        debug_assert_eq!(snapshot.date(), self.from, "delta applied to its base");
+        let mut undo = SnapshotUndo {
+            date: snapshot.date(),
+            replaced: Vec::with_capacity(self.changes.len()),
+        };
+        snapshot.set_date(self.to);
+        for change in &self.changes {
+            let prior = match &change.new {
+                Some(addrs) => snapshot.insert(change.domain, addrs.clone()),
+                None => snapshot.remove(change.domain),
+            };
+            undo.replaced.push((change.domain, prior));
+        }
+        undo
+    }
+
+    /// Whether `snapshot` already is this delta's target: it carries the
+    /// target date, every added or retargeted domain maps to its new
+    /// addresses, and every removed domain is absent. One lookup per
+    /// change, so checking a re-sent delta costs its churn, not a copy
+    /// of the snapshot.
+    pub fn is_carried_by(&self, snapshot: &DnsSnapshot) -> bool {
+        snapshot.date() == self.to
+            && self
+                .changes
+                .iter()
+                .all(|change| snapshot.get(change.domain) == change.new.as_ref())
     }
 
     /// The base snapshot's date.
@@ -242,6 +274,29 @@ impl SnapshotDelta {
     /// Whether the two snapshots had identical entries.
     pub fn is_empty(&self) -> bool {
         self.changes.is_empty()
+    }
+}
+
+/// What [`SnapshotDelta::apply_in_place`] replaced: the base date and,
+/// per change in application order, the entry the domain had before.
+#[derive(Debug)]
+#[must_use = "dropping the undo log makes the patch irreversible"]
+pub struct SnapshotUndo {
+    date: MonthDate,
+    replaced: Vec<(DomainId, Option<ResolvedAddrs>)>,
+}
+
+impl SnapshotUndo {
+    /// Restores the patched snapshot to its base, replaying the log
+    /// backwards (so a domain changed twice ends at its first prior).
+    pub fn revert(self, snapshot: &mut DnsSnapshot) {
+        for (domain, prior) in self.replaced.into_iter().rev() {
+            match prior {
+                Some(addrs) => snapshot.insert(domain, addrs),
+                None => snapshot.remove(domain),
+            };
+        }
+        snapshot.set_date(self.date);
     }
 }
 
@@ -325,6 +380,53 @@ mod tests {
         assert_eq!(delta.apply(&a), b);
     }
 
+    #[test]
+    fn revert_ignores_wrong_old_fields_and_repeated_domains() {
+        let base = snap(
+            MonthDate::new(2024, 8),
+            &[(0, &[A4], &[A6]), (1, &[B4], &[])],
+        );
+        let addrs = |v4: u32| ResolvedAddrs {
+            v4: vec![v4],
+            v6: vec![],
+        };
+        // Every `old` is wrong: domain 0 is claimed absent, domain 1
+        // claimed at A4, domain 7 claimed present. Domain 0 changes twice.
+        let delta = SnapshotDelta::from_changes(
+            MonthDate::new(2024, 8),
+            MonthDate::new(2024, 8),
+            vec![
+                DomainChange {
+                    domain: d(0),
+                    old: None,
+                    new: Some(addrs(B4)),
+                },
+                DomainChange {
+                    domain: d(0),
+                    old: None,
+                    new: None,
+                },
+                DomainChange {
+                    domain: d(1),
+                    old: Some(addrs(A4)),
+                    new: Some(addrs(A4)),
+                },
+                DomainChange {
+                    domain: d(7),
+                    old: Some(addrs(A4)),
+                    new: None,
+                },
+            ],
+        );
+        let mut patched = base.clone();
+        let undo = delta.apply_in_place(&mut patched);
+        assert_eq!(patched, delta.apply(&base));
+        assert!(patched.get(d(0)).is_none());
+        assert!(!delta.is_carried_by(&patched), "domain 0's first change");
+        undo.revert(&mut patched);
+        assert_eq!(patched, base);
+    }
+
     /// Property: `apply(diff(a, b), a) == b` across random snapshot
     /// pairs spanning empty, partial and full churn, with per-domain
     /// family drops exercising dual-stack transitions.
@@ -356,7 +458,16 @@ mod tests {
                 let a = build(MonthDate::new(2024, 8), &ea);
                 let b = build(MonthDate::new(2024, 9), &eb);
                 let delta = SnapshotDelta::diff(&a, &b);
-                prop_assert_eq!(delta.apply(&a), b);
+                prop_assert_eq!(&delta.apply(&a), &b);
+                // In place: the patch reaches the target, the undo log
+                // returns to the base, and only the target carries it.
+                let mut patched = a.clone();
+                let undo = delta.apply_in_place(&mut patched);
+                prop_assert_eq!(&patched, &b);
+                prop_assert!(delta.is_carried_by(&patched));
+                undo.revert(&mut patched);
+                prop_assert_eq!(&patched, &a);
+                prop_assert_eq!(delta.is_carried_by(&a.redated(b.date())), delta.is_empty());
                 prop_assert_eq!(
                     delta.added_count() + delta.removed_count() + delta.retargeted_count(),
                     delta.churn()

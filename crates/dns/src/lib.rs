@@ -52,7 +52,7 @@ mod source;
 mod store;
 mod toplist;
 
-pub use delta::{DomainChange, SnapshotDelta};
+pub use delta::{DomainChange, SnapshotDelta, SnapshotUndo};
 pub use journal::{decode_delta, encode_delta, IngestJournal, ReplayReport};
 pub use name::{DomainId, DomainTable};
 pub use record::{DnsRecord, Zone};

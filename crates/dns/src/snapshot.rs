@@ -88,10 +88,12 @@ impl DnsSnapshot {
         e.v6.dedup();
     }
 
-    /// Replaces the entry for `domain` outright (no merging) — the
-    /// primitive [`crate::SnapshotDelta::apply`] patches with.
-    pub fn insert(&mut self, domain: DomainId, addrs: ResolvedAddrs) {
-        self.entries.insert(domain, addrs);
+    /// Replaces the entry for `domain` outright (no merging), returning
+    /// the entry it replaced — the primitive
+    /// [`crate::SnapshotDelta::apply_in_place`] patches (and records its
+    /// undo log) with.
+    pub fn insert(&mut self, domain: DomainId, addrs: ResolvedAddrs) -> Option<ResolvedAddrs> {
+        self.entries.insert(domain, addrs)
     }
 
     /// Removes a domain's entry entirely, returning it if present.
@@ -99,8 +101,8 @@ impl DnsSnapshot {
         self.entries.remove(&domain)
     }
 
-    /// Re-dates the snapshot (delta application moves a patched clone to
-    /// the target month).
+    /// Re-dates the snapshot (delta application moves the patched
+    /// snapshot to the target month).
     pub(crate) fn set_date(&mut self, date: MonthDate) {
         self.date = date;
     }

@@ -11,19 +11,22 @@
 //!    write-ahead journal *before* anything else. From this point the
 //!    delta survives a crash.
 //! 2. **Apply** — [`EpochState::ingest`] patches the private generation
-//!    and builds the replacement index. Any failure or panic here rolls
+//!    and derives the next index. Any failure or panic here rolls
 //!    back to the committed generation; the journaled record stays, and
 //!    replay re-applies it at the next startup (so a crash between
 //!    append and publish loses nothing).
 //! 3. **Publish** — one [`PublishedWindow::swap`]: readers pinning the
 //!    next request see the new epoch, in-flight requests finish on the
-//!    one they pinned.
+//!    one they pinned. A replication primary then publishes the delta
+//!    to its feed.
 //! 4. **Compact** (append months, with a store) — the previous tail
 //!    month (with every retarget since its own compaction folded in)
 //!    and the new tail month are written to the snapshot store, then
 //!    the journal is truncated. A failure anywhere in this step is
 //!    tolerated: the journal still holds the deltas, so durability is
-//!    unbroken and compaction simply retries at the next append.
+//!    unbroken. The outgoing month stays queued, and the next
+//!    compaction writes every queued month before the tail: the
+//!    journal is truncated only once every month it covers is stored.
 //!
 //! [`LiveWindow::recover`] is the inverse: open the journal (discarding
 //! a torn tail), re-apply every record the committed window does not
@@ -75,6 +78,10 @@ pub struct LiveWindow<R: RibSource + Clone> {
     /// Serving gauges kept in sync with the journal's durability
     /// backlog, when a daemon reports them via `health`.
     gauges: Option<Arc<HealthGauges>>,
+    /// Outgoing tail months of appends whose compaction has not landed,
+    /// oldest first. The journal covers them until a compaction writes
+    /// them all (empty without a store).
+    unstored: Vec<Arc<DnsSnapshot>>,
 }
 
 impl<R: RibSource + Clone> std::fmt::Debug for LiveWindow<R> {
@@ -134,6 +141,7 @@ impl<R: RibSource + Clone> LiveWindow<R> {
             published: Arc::new(PublishedWindow::new_at(start_epoch, index)),
             feed,
             gauges: None,
+            unstored: Vec::new(),
         };
         if let Some(feed) = &live.feed {
             // Re-publish the surviving records under their durable
@@ -158,11 +166,11 @@ impl<R: RibSource + Clone> LiveWindow<R> {
                 report.skipped += 1;
                 continue;
             }
-            // `reset_on_compact: false` — resetting the journal while
-            // later records still wait to replay would un-journal them
-            // before they are re-applied, losing acked deltas to a
-            // second crash. One reset happens below, after everything.
-            let (index, _) = live.apply(delta, false).map_err(|e| {
+            // No compaction here: resetting the journal while later
+            // records still wait to replay would un-journal them before
+            // they are re-applied, losing acked deltas to a second
+            // crash. One compaction happens below, after everything.
+            let index = live.apply(delta).map_err(|e| {
                 format!(
                     "replaying journaled delta {}..{}: {e}",
                     delta.from_date(),
@@ -178,15 +186,11 @@ impl<R: RibSource + Clone> LiveWindow<R> {
             // therefore epochs) when they were first accepted, and the
             // starting epoch above already accounts for them.
             live.published.republish(index);
-            // Everything replayed; fold the recovered tail (including
-            // trailing retargets) into the store, then the journal can
-            // start empty. No store: the journal stays — it IS the
-            // durability.
-            if let Some(store) = &live.store {
-                if store.write(&**live.epoch.tail_snapshot()).is_ok() {
-                    let _ = live.journal.reset();
-                }
-            }
+            // Everything replayed; fold the replayed months and the
+            // recovered tail (including trailing retargets) into the
+            // store, then the journal can start empty. No store: the
+            // journal stays — it IS the durability.
+            live.compact();
         }
         Ok((live, report))
     }
@@ -229,13 +233,11 @@ impl<R: RibSource + Clone> LiveWindow<R> {
         if delta.to_date() < tail || (delta.to_date() == tail && delta.from_date() < tail) {
             return true;
         }
-        if delta.to_date() == tail && delta.from_date() == tail {
-            // A tail retarget: already carried exactly when re-applying
-            // it changes nothing.
-            let snapshot = self.epoch.tail_snapshot();
-            return delta.apply(snapshot) == **snapshot;
-        }
-        false
+        // A tail retarget: already carried exactly when the tail holds
+        // every change's new entry (one lookup per change, no copy).
+        delta.to_date() == tail
+            && delta.from_date() == tail
+            && delta.is_carried_by(self.epoch.tail_snapshot())
     }
 
     /// Applies one replication-feed delta through the full durable
@@ -256,19 +258,17 @@ impl<R: RibSource + Clone> LiveWindow<R> {
         self.ingest(delta).map(Some)
     }
 
-    /// Applies one delta to the epoch state and compacts if it appended
-    /// a month. Shared by live ingest and recovery replay; does NOT
-    /// journal (live ingest journals first, replay reads the journal)
-    /// and does NOT publish (the callers differ on when). The journal
-    /// is truncated after a successful compaction only when
-    /// `reset_on_compact` — replay defers that to its end.
-    fn apply(
-        &mut self,
-        delta: &SnapshotDelta,
-        reset_on_compact: bool,
-    ) -> Result<(Arc<WindowQueryIndex>, bool), String> {
-        let old_tail: Arc<DnsSnapshot> = Arc::clone(self.epoch.tail_snapshot());
-        let appended = delta.to_date() > old_tail.date();
+    /// Applies one delta to the epoch state and, for an append with a
+    /// store, queues the outgoing month for compaction. Shared by live
+    /// ingest and recovery replay; does NOT journal (live ingest
+    /// journals first, replay reads the journal), publish or compact
+    /// (the callers differ on when).
+    fn apply(&mut self, delta: &SnapshotDelta) -> Result<Arc<WindowQueryIndex>, String> {
+        // Only an append with a store takes the outgoing month: a clone
+        // held across the ingest makes its in-place tail patch copy the
+        // snapshot first.
+        let outgoing = (self.store.is_some() && delta.to_date() > self.epoch.tail_date())
+            .then(|| Arc::clone(self.epoch.tail_snapshot()));
         let index = self
             .epoch
             .ingest(delta, || {
@@ -280,22 +280,29 @@ impl<R: RibSource + Clone> LiveWindow<R> {
                     .map_err(|e| e.to_string())
             })
             .map_err(|e| e.to_string())?;
-        let mut compacted = false;
-        if appended {
-            if let Some(store) = &self.store {
-                // Compaction failure is not an ingest failure: the
-                // journal still holds the deltas, so durability is
-                // intact and the next append retries.
-                compacted = store
-                    .write(&*old_tail)
-                    .and_then(|_| store.write(&**self.epoch.tail_snapshot()))
-                    .is_ok();
-                if compacted && reset_on_compact {
-                    compacted = self.journal.reset().is_ok();
-                }
-            }
+        self.unstored.extend(outgoing);
+        Ok(index)
+    }
+
+    /// Writes every month the journal covers into the store — the
+    /// queued outgoing months, oldest first, then the tail — and resets
+    /// the journal once all of them landed. A failure is not an ingest
+    /// failure: the journal still holds the deltas, so durability is
+    /// intact, and the months stay queued for the next compaction. No
+    /// store: nothing to do, the journal IS the durability.
+    fn compact(&mut self) {
+        let Some(store) = &self.store else {
+            return;
+        };
+        let written = self
+            .unstored
+            .iter()
+            .chain([self.epoch.tail_snapshot()])
+            .try_for_each(|month| store.write(&**month).map(|_| ()));
+        if written.is_ok() {
+            self.unstored.clear();
+            let _ = self.journal.reset();
         }
-        Ok((index, compacted))
     }
 }
 
@@ -316,10 +323,14 @@ where
         self.journal
             .append(delta)
             .map_err(|e| format!("ingest journal {}: {e}", self.journal.path().display()))?;
-        let (index, _) = self.apply(delta, true)?;
+        let appended = delta.to_date() > self.epoch.tail_date();
+        let index = self.apply(delta)?;
         let epoch = self.published.swap(index);
         if let Some(feed) = &self.feed {
             feed.publish(epoch, delta);
+        }
+        if appended {
+            self.compact();
         }
         self.sync_gauges();
         Ok(epoch)
@@ -333,7 +344,7 @@ mod tests {
 
     use sibling_bgp::{Rib, RibArchive};
     use sibling_core::{DetectEngine, EngineConfig, SiblingSet};
-    use sibling_dns::DomainId;
+    use sibling_dns::{DomainChange, DomainId};
     use sibling_net_types::{Asn, Ipv4Prefix, Ipv6Prefix, MonthDate};
 
     fn a4(s: &str) -> u32 {
@@ -603,10 +614,48 @@ mod tests {
         // replays exactly the two applied deltas.
         drop(live);
         let (epoch, index) = seeded(std::slice::from_ref(&s1));
-        let (live, report) = LiveWindow::recover(epoch, index, &journal, None).unwrap();
+        let (mut live, report) = LiveWindow::recover(epoch, index, &journal, None).unwrap();
         assert_eq!((report.replayed, report.skipped), (2, 0));
         assert_eq!(live.published().epoch(), 3);
-        let reference = Arc::new(WindowQueryIndex::build(&recompute(&[s1, s2b])).unwrap());
+        let reference = Arc::new(
+            WindowQueryIndex::build(&recompute(&[Arc::clone(&s1), Arc::clone(&s2b)])).unwrap(),
+        );
+        assert_eq!(rows(live.published().pin().index()), rows(&reference));
+
+        // Retargets are checked against the tail change by change. A
+        // re-sent one is skipped, and so is one that only repeats the
+        // tail: a domain at its current addresses, an absent domain
+        // removed.
+        assert_eq!(live.ingest_feed(&retarget).unwrap(), None);
+        let change = |id: u32, old: &DnsSnapshot, new: &DnsSnapshot| DomainChange {
+            domain: DomainId(id),
+            old: old.get(DomainId(id)).cloned(),
+            new: new.get(DomainId(id)).cloned(),
+        };
+        let empty = DnsSnapshot::new(month(2));
+        let repeat = SnapshotDelta::from_changes(
+            month(2),
+            month(2),
+            vec![change(1, &s2b, &s2b), change(9, &empty, &empty)],
+        );
+        assert_eq!(live.ingest_feed(&repeat).unwrap(), None);
+        // A retarget that differs from the tail in one domain applies.
+        let s2c = snap(
+            month(2),
+            &[
+                (1, "203.0.1.1", "2600:2::1"),
+                (2, "198.51.1.2", "2600:2::2"),
+                (3, "203.0.1.3", "2600:2::3"),
+            ],
+        );
+        let differs = SnapshotDelta::from_changes(
+            month(2),
+            month(2),
+            vec![change(1, &s2b, &s2b), change(3, &s2b, &s2c)],
+        );
+        assert_eq!(live.ingest_feed(&differs).unwrap(), Some(4));
+        assert_eq!(live.ingest_feed(&differs).unwrap(), None);
+        let reference = Arc::new(WindowQueryIndex::build(&recompute(&[s1, s2c])).unwrap());
         assert_eq!(rows(live.published().pin().index()), rows(&reference));
     }
 

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use sibling_core::{BatchRun, DetectEngine, EngineConfig, EpochState, WindowQueryIndex};
 use sibling_dns::{
-    encode_snapshot, IngestJournal, LoadMode, SnapshotDelta, SnapshotStore, StoreError,
+    encode_snapshot, DnsSnapshot, IngestJournal, LoadMode, SnapshotDelta, SnapshotStore, StoreError,
 };
 use sibling_executor::ThreadPool;
 use sibling_failpoint as failpoint;
@@ -371,6 +371,86 @@ fn crash_during_compaction_keeps_the_journal_as_the_durability() {
     );
     assert!(SnapshotStore::open(&store_dir).unwrap().contains(to));
     let batch = WindowQueryIndex::publish(&score(&world, from, to)).expect("non-empty window");
+    assert_eq!(stat_rows(live.published().pin().index()), stat_rows(&batch));
+}
+
+/// Scores `snaps` (consecutive months) with a fresh engine: the batch
+/// recompute reference, and the startup scoring of a window whose
+/// months come from somewhere other than the world.
+fn score_snaps(world: &World, snaps: &[Arc<DnsSnapshot>]) -> BatchRun {
+    let from = snaps[0].date();
+    let to = snaps.last().unwrap().date();
+    DetectEngine::default()
+        .run_window(from, to, &world.rib_archive(), |d| {
+            Arc::clone(&snaps[d.months_since(&from) as usize])
+        })
+        .expect("window covered by the world's archive")
+}
+
+#[test]
+fn failed_compaction_keeps_its_months_until_a_later_compaction_stores_them() {
+    let _guard = chaos_guard();
+    let scratch = Scratch::new("compaction-gap");
+    let journal = scratch.0.join("ingest.sibjrnl");
+    let store_dir = scratch.0.join("store");
+    let world = World::generate(WorldConfig::test_tiny(41));
+    let m: Vec<MonthDate> = (0..4).map(|k| world.config.end.add_months(k - 3)).collect();
+    let snap = |k: usize| Arc::new(world.snapshot(m[k]));
+
+    // m0 is in the store; the live window starts there.
+    let store = SnapshotStore::create(&store_dir).unwrap();
+    store.write(&*snap(0)).unwrap();
+    let (epoch, index) = live_seed(&world, m[0], m[0]);
+    let (mut live, _) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+
+    // Append m1 (compacts), then retarget m1 with half of m1→m2's churn.
+    live.ingest(&SnapshotDelta::diff(&snap(0), &snap(1)))
+        .unwrap();
+    let churn = SnapshotDelta::diff(&snap(1), &snap(2));
+    let half =
+        SnapshotDelta::from_changes(m[1], m[1], churn.changes()[..churn.churn() / 2].to_vec());
+    assert!(!half.is_empty());
+    let m1_retargeted = Arc::new(half.apply(&snap(1)));
+    live.ingest(&half).unwrap();
+
+    // Append m2 while the store refuses the first write: the outgoing,
+    // retargeted m1 is not stored and the journal keeps its records.
+    failpoint::configure("snapshot-store::write", "once*return").unwrap();
+    live.ingest(&SnapshotDelta::diff(&m1_retargeted, &snap(2)))
+        .unwrap();
+    failpoint::clear("snapshot-store::write");
+    assert!(
+        live.journal_backlog() > 0,
+        "failed compaction kept the journal"
+    );
+
+    // Append m3: this compaction must also store the retargeted m1
+    // before it may reset the journal.
+    live.ingest(&SnapshotDelta::diff(&snap(2), &snap(3)))
+        .unwrap();
+    assert_eq!(live.journal_backlog(), 0);
+    drop(live);
+    let store = SnapshotStore::open(&store_dir).unwrap();
+    let stored_m1 = DnsSnapshot::materialize(&*store.load(m[1]).unwrap());
+    assert!(stored_m1 == *m1_retargeted, "the retargets of m1 were lost");
+
+    // Restart as `serve --ingest --store` does: seed the window from the
+    // store's months, then recover the journal. It serves exactly the
+    // acknowledged history.
+    let stored: Vec<Arc<DnsSnapshot>> = m
+        .iter()
+        .map(|&d| Arc::new(DnsSnapshot::materialize(&*store.load(d).unwrap())))
+        .collect();
+    let (epoch, index) = EpochState::seed(
+        EngineConfig::default(),
+        world.rib_archive(),
+        score_snaps(&world, &stored).results,
+        Arc::clone(&stored[3]),
+    )
+    .unwrap();
+    let (live, _) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+    let acked = [snap(0), m1_retargeted, snap(2), snap(3)];
+    let batch = WindowQueryIndex::publish(&score_snaps(&world, &acked)).unwrap();
     assert_eq!(stat_rows(live.published().pin().index()), stat_rows(&batch));
 }
 
