@@ -25,8 +25,11 @@
 //!   a dated snapshot window with cost proportional to **churn**, not
 //!   snapshot size: consecutive snapshots are diffed
 //!   ([`sibling_dns::SnapshotDelta`]), the previous month's index is
-//!   patched in place ([`crate::PrefixDomainIndex::apply_delta`],
-//!   recycling dead arena sets), and only *dirty* shards are rescored.
+//!   patched in place ([`crate::GroupIndex::apply_delta`], recycling
+//!   dead arena sets), and only *dirty* shards are rescored. The engine
+//!   carries a bare [`GroupIndex`] — groups and domain→prefix lists
+//!   only; the SP-Tuner host tries of an analysis
+//!   [`crate::PrefixDomainIndex`] are never built on this path.
 //!
 //! # The window scheduler
 //!
@@ -81,13 +84,16 @@
 //!
 //! A shard's outcome is a pure function of (a) its IPv4 groups' interned
 //! sets, (b) the v6 prefix lists of the domains in those sets, and
-//! (c) the sets of its candidate IPv6 prefixes. The delta report
-//! conservatively marks every v4 and v6 prefix an effectively-changed
-//! domain mapped to before or after the change. A clean shard therefore
-//! contains no changed domain (its groups and their reverse entries are
-//! untouched) and none of its candidates changed size — candidates are
-//! exactly the IPv6 prefixes its domains map into, and all supported
-//! metrics are strictly positive on a non-empty intersection.
+//! (c) the sets of its candidate IPv6 prefixes. A domain whose prefix
+//! lists did not change moves none of these. The delta report marks
+//! every v4 prefix a changed domain mapped to before or after the change
+//! (covering (a) and (b)) and every v6 prefix whose set changed, whose
+//! scoring shards the candidate index names (covering (c)). A clean
+//! shard therefore contains no changed domain (its groups and their
+//! reverse entries are untouched) and none of its candidates changed
+//! size — candidates are exactly the IPv6 prefixes its domains map into,
+//! and all supported metrics are strictly positive on a non-empty
+//! intersection.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
@@ -100,7 +106,7 @@ use sibling_executor::sync::Slot;
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix, MonthDate};
 
 use crate::arena::{FxHasher, SetArena, SetHandle};
-use crate::index::{DomainMove, PrefixDomainIndex};
+use crate::index::{DomainMove, GroupIndex, PrefixDomainIndex};
 use crate::metrics::{Ratio, SimilarityMetric};
 use crate::pipeline::{BestMatchPolicy, SiblingPair, SiblingSet};
 
@@ -264,7 +270,7 @@ struct ScoreView {
 }
 
 impl ScoreView {
-    fn capture(index: &PrefixDomainIndex) -> Self {
+    fn capture(index: &GroupIndex) -> Self {
         Self {
             v6_domains: index.family::<u128>().domain_prefixes_shared(),
             v6_groups: index.family::<u128>().groups_shared(),
@@ -287,7 +293,7 @@ impl CandidateIndex {
     /// Builds the index from scratch (window seeding) — one pass over
     /// the join structure, the same cost as one full scoring walk's
     /// candidate enumeration.
-    fn seed(index: &PrefixDomainIndex, shard_count: usize) -> Self {
+    fn seed(index: &GroupIndex, shard_count: usize) -> Self {
         let mut this = Self::default();
         for (p4, handle) in index.group_sets::<u32>() {
             let shard = shard_of(p4, shard_count) as u32;
@@ -324,15 +330,15 @@ impl CandidateIndex {
     /// enters — churn-proportional.
     fn apply_moves(&mut self, moves: &[DomainMove], shard_count: usize) {
         for mv in moves {
-            for p4 in &mv.old_v4 {
+            for p4 in mv.old_v4.iter() {
                 let shard = shard_of(p4, shard_count) as u32;
-                for p6 in &mv.old_v6 {
+                for p6 in mv.old_v6.iter() {
                     self.bump(*p6, shard, -1);
                 }
             }
-            for p4 in &mv.new_v4 {
+            for p4 in mv.new_v4.iter() {
                 let shard = shard_of(p4, shard_count) as u32;
-                for p6 in &mv.new_v6 {
+                for p6 in mv.new_v6.iter() {
                     self.bump(*p6, shard, 1);
                 }
             }
@@ -362,7 +368,7 @@ pub(crate) struct WindowState<H, R> {
     /// identity gates whether deltas may be applied.
     rib: R,
     /// The index, patched in place month over month.
-    index: PrefixDomainIndex,
+    index: GroupIndex,
     /// Shard count fixed for the whole window so cached outcomes stay
     /// addressable.
     shard_count: usize,
@@ -423,7 +429,7 @@ impl<R: RibSource> WindowState<MonthDate, R> {
         arena: &SetArena,
         superseded: Option<Self>,
     ) -> Self {
-        let index = PrefixDomainIndex::build_with_arena(snapshot, &rib, arena);
+        let index = GroupIndex::build(snapshot, &rib, arena);
         if let Some(old) = superseded {
             // As in the pooled seed: release the superseded index only
             // *after* the new one is interned, so recurring sets dedup
@@ -668,7 +674,7 @@ impl<'env> WindowCtx<'_, '_, 'env> {
         H: SnapshotSource + Clone + Send + 'static,
         R: RibSource,
     {
-        let index = PrefixDomainIndex::build_source_with_arena(&snapshot, &rib, self.arena);
+        let index = GroupIndex::build(&snapshot, &rib, self.arena);
         if let Some(old) = superseded {
             // Release the superseded index only *after* the new one is
             // interned: recurring sets dedup onto the live slots (so
@@ -788,7 +794,7 @@ impl<'env> WindowCtx<'_, '_, 'env> {
     /// slot; a shard whose scoring panics poisons its own slot.
     fn spawn_score_bundles<I>(
         &self,
-        index: &PrefixDomainIndex,
+        index: &GroupIndex,
         members: &[Vec<Ipv4Prefix>],
         slots: &mut [OutcomeSlot],
         dirty: I,
@@ -867,7 +873,7 @@ impl<'env> WindowCtx<'_, '_, 'env> {
         let slot = Arc::new(Slot::new());
         let spawned = Instant::now();
         self.dispatch.run(&slot, move || {
-            let index = PrefixDomainIndex::build_source_with_arena(&snapshot, &rib, arena);
+            let index = GroupIndex::build(&snapshot, &rib, arena);
             let set = detect_standalone(&index, &config, workers);
             MonthOutput {
                 set,
@@ -918,11 +924,7 @@ fn window_shard_count(config: &EngineConfig, workers: usize, groups_hint: usize)
 /// [`DetectEngine::detect`] — used inside full-mode month tasks, which
 /// must not nest a `map` onto the pool they already occupy (whole months
 /// are the parallel unit there).
-fn detect_standalone(
-    index: &PrefixDomainIndex,
-    config: &EngineConfig,
-    workers: usize,
-) -> SiblingSet {
+fn detect_standalone(index: &GroupIndex, config: &EngineConfig, workers: usize) -> SiblingSet {
     let Some(layout) = OneShotLayout::of(index, config, workers) else {
         return SiblingSet::default();
     };
@@ -946,7 +948,7 @@ struct OneShotLayout {
 
 impl OneShotLayout {
     /// `None` iff the index has no v4 groups (nothing to detect).
-    fn of(index: &PrefixDomainIndex, config: &EngineConfig, workers: usize) -> Option<Self> {
+    fn of(index: &GroupIndex, config: &EngineConfig, workers: usize) -> Option<Self> {
         let groups: Vec<(Ipv4Prefix, SetHandle)> = index
             .group_sets::<u32>()
             .map(|(p, h)| (*p, h.clone()))
@@ -1012,7 +1014,7 @@ impl DetectEngine {
     /// Steps 3–4 over one index: sharded candidate generation and
     /// scoring, then a best-match reduction. Output is bit-identical to
     /// [`crate::detect`] with the same metric and policy.
-    pub fn detect(&self, index: &PrefixDomainIndex) -> SiblingSet {
+    pub fn detect(&self, index: &GroupIndex) -> SiblingSet {
         let Some(layout) = OneShotLayout::of(index, &self.config, self.workers()) else {
             return SiblingSet::default();
         };
@@ -1091,7 +1093,11 @@ impl DetectEngine {
             };
             self.run_dates_inner(dates, archive, &snapshot_of, &dispatch)
         };
-        let mut run = result?;
+        // The last month's index stays alive through the sweep below:
+        // which of its sets sit parked in the graveyard depends on
+        // scheduling, so dropping it first would let the sweep recycle a
+        // schedule-dependent share of them.
+        let (mut run, _last) = result?;
         // Arena accounting happens strictly after the scope has drained:
         // collection unblocks on each month's `Slot::set`, but a score
         // bundle still holds its captured view/handles for an instant
@@ -1108,13 +1114,14 @@ impl DetectEngine {
     /// The window scheduler's driver loop (see module docs): walk the
     /// months, keep the patch chain sequential, fan everything else out
     /// through the dispatcher, then collect per-month results in order.
+    /// Also hands back the incremental window state of the last month.
     fn run_dates_inner<'env, H, R, S>(
         &'env self,
         dates: &[MonthDate],
         archive: &RibArchive<R>,
         snapshot_of: &Mutex<&mut S>,
         dispatch: &Dispatch<'_, 'env>,
-    ) -> Result<BatchRun, String>
+    ) -> Result<(BatchRun, Option<WindowState<H, R>>), String>
     where
         H: SnapshotSource + Clone + Send + 'static,
         R: RibSource + Clone + Send + Sync + 'static,
@@ -1231,7 +1238,7 @@ impl DetectEngine {
         // Arena stats (and the final sweep) are filled in by `run_dates`
         // once the pool scope has drained — a straggling bundle may
         // still pin sets for an instant after its last `Slot::set`.
-        Ok(run)
+        Ok((run, state))
     }
 
     #[cfg(feature = "parallel")]
@@ -1432,7 +1439,7 @@ mod tests {
     #[test]
     fn empty_index_detects_nothing() {
         let engine = DetectEngine::default();
-        let set = engine.detect(&PrefixDomainIndex::default());
+        let set = engine.detect(&GroupIndex::default());
         assert!(set.is_empty());
     }
 

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! [`EpochState`] carries the incremental engine's window state (the
-//! patched [`crate::PrefixDomainIndex`], per-shard cached outcomes and
+//! patched [`crate::GroupIndex`], per-shard cached outcomes and
 //! the structural candidate index) **serially**: every ingest patches
 //! the index in place, rescores exactly the dirty shards inline, and
 //! derives the next query index from the committed one — the tail month
@@ -579,9 +579,9 @@ mod tests {
 
         // The client supplies `old` and nothing checks it: a delta whose
         // `old` fields contradict the tail (domain 1 claimed absent,
-        // domain 9 claimed present) still rolls back to the exact tail.
-        // The index patch trusts `old` too, and a debug build's
-        // consistency assert may panic before the hook does.
+        // domain 2 claimed at domain 1's addresses, domain 9 claimed
+        // present) still rolls back to the exact tail. Neither the undo
+        // log nor the index patch reads `old`, so only the hook panics.
         let lying = SnapshotDelta::from_changes(
             month(1),
             month(1),
@@ -604,15 +604,24 @@ mod tests {
             ],
         );
         let err = epoch.ingest(&lying, || panic!("chaos")).unwrap_err();
-        assert!(matches!(err, IngestError::Panicked(_)), "{err}");
+        assert_eq!(err, IngestError::Panicked("chaos".to_string()));
         assert_results_equal(epoch.results(), &committed);
         assert_eq!(**epoch.tail_snapshot(), *s1, "patch undone exactly");
 
-        // The same delta still applies cleanly afterwards, and the
-        // result equals the batch recompute (rollback left no residue).
-        let index = epoch.ingest(&delta, || Ok(())).unwrap();
+        // Through a passing hook the same delta commits, and the window
+        // answers like a batch recompute over the tail it really yields
+        // (rollback left no residue, and the lies changed nothing).
+        let s1_true = Arc::new(lying.apply(&s1));
+        epoch.ingest(&lying, || Ok(())).unwrap();
+        assert_eq!(**epoch.tail_snapshot(), *s1_true);
+        assert_results_equal(epoch.results(), &recompute(&[Arc::clone(&s1_true)]));
+
+        // An append on top still equals the batch recompute.
+        let index = epoch
+            .ingest(&SnapshotDelta::diff(&s1_true, &s2), || Ok(()))
+            .unwrap();
         assert_eq!(index.months(), &[month(1), month(2)]);
-        assert_results_equal(epoch.results(), &recompute(&[s1, Arc::clone(&s2)]));
+        assert_results_equal(epoch.results(), &recompute(&[s1_true, Arc::clone(&s2)]));
         assert_eq!(**epoch.tail_snapshot(), *s2);
     }
 }

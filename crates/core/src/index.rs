@@ -1,293 +1,207 @@
 //! Step 2 of the methodology: grouping DS domains by announced prefix.
 //!
-//! The scoring-relevant maps (per-prefix group sets and per-domain prefix
-//! lists) are held behind `Arc`s with copy-on-write patching
-//! (`Arc::make_mut`): the window scheduler captures them as immutable
-//! month-*m* views for its concurrent scoring tasks, and patching month
-//! *m+1* in place clones a map only if an older month's view is still
-//! alive — serial walks never pay for the snapshotting.
+//! Two types split the index by what reads it:
+//!
+//! * [`GroupIndex`] holds, per family, the per-prefix DS-domain group
+//!   sets and each domain's announced-prefix list — everything detection
+//!   scores. The incremental engine carries one and patches it month
+//!   over month ([`GroupIndex::apply_delta`]).
+//! * [`PrefixDomainIndex`] adds the SP-Tuner host tries and the
+//!   unmapped-address counts, for the analyses that query arbitrary
+//!   (not announced) prefixes. It is built whole, never patched, and
+//!   reads as its [`GroupIndex`] through `Deref`.
+//!
+//! A build and a patch run one grouping routine (a build is a patch
+//! from empty): each domain's new prefix lists are compared with its
+//! indexed record, the differences become `(prefix, domain, add)` edits
+//! in one list per family, and that list is sorted once, so every
+//! touched group set is rebuilt by one linear merge and re-consed
+//! through the arena once, in ascending prefix order.
+//!
+//! The group maps are held behind `Arc`s with copy-on-write patching
+//! (`Arc::make_mut`, once per map and patch): the window scheduler
+//! captures them as immutable month-*m* views for its concurrent scoring
+//! tasks, and patching month *m+1* in place clones a map only if an
+//! older month's view is still alive — serial walks never pay for the
+//! snapshotting.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use sibling_bgp::RibSource;
-use sibling_dns::{DnsSnapshot, DomainId, ResolvedAddrs, SnapshotDelta, SnapshotSource};
+use sibling_dns::{AddrEntry, DnsSnapshot, DomainChange, DomainId, SnapshotDelta, SnapshotSource};
 use sibling_net_types::{AddressFamily, DualStack, FamilyMap, Ipv4Prefix, Ipv6Prefix, Prefix};
 use sibling_ptrie::PatriciaTrie;
 
 use crate::arena::{SetArena, SetHandle};
 
-/// One family's `(old, new)` announced-prefix transition per changed
-/// domain, as collected by `apply_changes` for the delta report.
-type FamilyMoves<F> = BTreeMap<DomainId, (Vec<Prefix<F>>, Vec<Prefix<F>>)>;
+/// One domain's announced prefixes in one family: sorted, deduplicated,
+/// shared between the index's record and the delta report.
+pub type PrefixList<F> = Arc<[Prefix<F>]>;
 
-/// The per-family half of the index: one instance per address family,
-/// composed into [`PrefixDomainIndex`] through a [`DualStack`].
+/// The entries of a snapshot that §3.1 step 1 keeps: dual-stack
+/// domains, with both families present.
+fn dual_stack<S: SnapshotSource + ?Sized>(source: &S) -> impl Iterator<Item = AddrEntry<'_>> {
+    source
+        .addr_entries()
+        .filter(|(_, v4, v6)| !v4.is_empty() && !v6.is_empty())
+}
+
+/// The per-family half of a [`GroupIndex`]: one instance per address
+/// family, composed through a [`DualStack`].
 ///
 /// Domain sets are **sorted, deduplicated runs interned in a
 /// [`SetArena`]** (domain ids are already dense interner output), so pair
 /// scoring walks two sorted runs instead of probing `BTreeSet`s, equal
 /// sets share one allocation and compare by [`crate::arena::SetId`], and
 /// the hot path of `detect()` allocates nothing per candidate pair.
+///
+/// Invariant: `d` is in the group of `p` exactly when `p` is in `d`'s
+/// record — which is why a patch can take a domain's old prefixes from
+/// its record.
 pub struct FamilyIndex<F: AddressFamily> {
     /// Shared with scoring views; patched copy-on-write.
     groups: Arc<BTreeMap<Prefix<F>, SetHandle>>,
-    /// Raw per-prefix pushes, consumed by `finalize`.
-    pending: BTreeMap<Prefix<F>, Vec<DomainId>>,
-    /// Raw per-domain pushes, consumed by `finalize`.
-    pending_domains: BTreeMap<DomainId, Vec<Prefix<F>>>,
-    /// Shared with scoring views; patched copy-on-write. Values are
-    /// `Arc` slices so a view capture is a pointer bump per entry, never
-    /// a copy of the lists.
-    domain_prefixes: Arc<BTreeMap<DomainId, Arc<[Prefix<F>]>>>,
-    hosts: PatriciaTrie<F, Vec<DomainId>>,
-    unmapped: usize,
+    /// Each indexed domain's record. Shared with scoring views; patched
+    /// copy-on-write. Values are `Arc` slices so a view capture is a
+    /// pointer bump per entry, never a copy of the lists.
+    domain_prefixes: Arc<BTreeMap<DomainId, PrefixList<F>>>,
 }
 
 impl<F: AddressFamily> Default for FamilyIndex<F> {
     fn default() -> Self {
         Self {
             groups: Arc::new(BTreeMap::new()),
-            pending: BTreeMap::new(),
-            pending_domains: BTreeMap::new(),
             domain_prefixes: Arc::new(BTreeMap::new()),
-            hosts: PatriciaTrie::new(),
-            unmapped: 0,
         }
     }
 }
 
+/// One family's side of a grouping pass: what [`FamilyIndex::stage`]
+/// collected, applied by [`FamilyIndex::commit`] once every domain is
+/// read.
+struct FamilyPass<F: AddressFamily> {
+    /// The list of a domain outside the record.
+    empty: PrefixList<F>,
+    /// Reused per domain: its new prefixes.
+    resolved: Vec<Prefix<F>>,
+    /// Domains whose list changed, with the new list (empty: the domain
+    /// leaves the record).
+    records: Vec<(DomainId, PrefixList<F>)>,
+    /// `(prefix, domain, add)` group membership edits.
+    edits: Vec<(Prefix<F>, DomainId, bool)>,
+}
+
+impl<F: AddressFamily> Default for FamilyPass<F> {
+    fn default() -> Self {
+        Self {
+            empty: Vec::new().into(),
+            resolved: Vec::new(),
+            records: Vec::new(),
+            edits: Vec::new(),
+        }
+    }
+}
+
+/// A group's sorted `set` with its `edits` (sorted by domain) applied,
+/// in one merge walk.
+fn merge<F: AddressFamily>(
+    set: &[DomainId],
+    edits: &[(Prefix<F>, DomainId, bool)],
+) -> Vec<DomainId> {
+    let mut out = Vec::with_capacity(set.len() + edits.len());
+    let mut rest = set.iter().copied().peekable();
+    for &(_, domain, add) in edits {
+        while let Some(kept) = rest.next_if(|d| *d < domain) {
+            out.push(kept);
+        }
+        let present = rest.next_if_eq(&domain).is_some();
+        debug_assert_ne!(present, add, "an edit always changes membership");
+        if add {
+            out.push(domain);
+        }
+    }
+    out.extend(rest);
+    out
+}
+
 impl<F: AddressFamily> FamilyIndex<F> {
-    /// Maps one resolved address of `domain` to its announced prefix.
-    fn add<R: RibSource + ?Sized>(&mut self, domain: DomainId, addr: F, rib: &R) {
-        match rib.announced_prefix(addr) {
-            Some(prefix) => {
-                self.pending.entry(prefix).or_default().push(domain);
-                self.pending_domains.entry(domain).or_default().push(prefix);
-                let host = F::host_prefix(addr);
-                match self.hosts.get_mut(&host) {
-                    Some(set) => set.push(domain),
-                    None => {
-                        self.hosts.insert(host, vec![domain]);
-                    }
-                }
-            }
-            None => self.unmapped += 1,
-        }
-    }
-
-    /// Restores the sorted-set invariant after the build loop's raw
-    /// pushes (a domain with several addresses in one prefix would
-    /// otherwise leave duplicates) and hash-conses the group sets into
-    /// the arena.
-    fn finalize(&mut self, arena: &SetArena) {
-        let groups = Arc::make_mut(&mut self.groups);
-        for (prefix, mut set) in std::mem::take(&mut self.pending) {
-            set.sort_unstable();
-            set.dedup();
-            groups.insert(prefix, arena.intern(set));
-        }
-        let domain_prefixes = Arc::make_mut(&mut self.domain_prefixes);
-        for (domain, mut set) in std::mem::take(&mut self.pending_domains) {
-            set.sort_unstable();
-            set.dedup();
-            domain_prefixes.insert(domain, set.into());
-        }
-        for set in self.hosts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-    }
-
-    /// Applies a batch of per-domain family-side transitions in place:
-    /// each domain's old addresses leave the index, the new ones enter,
-    /// and every announced prefix a changed domain mapped to (before or
-    /// after) is added to `touched` — the conservative dirty set
-    /// incremental rescoring works from.
-    ///
-    /// Group membership edits are **accumulated per prefix** and each
-    /// touched group set is re-consed through the arena exactly once
-    /// ([`SetArena::update`], recycling the dead set), so a popular
-    /// prefix gaining/losing many domains in one month costs one set
-    /// rebuild, not one per domain.
-    ///
-    /// Caller contract: `rib` is the same table the index was built (or
-    /// last patched) against — mappings are a pure function of the RIB,
-    /// so old addresses resolve to the prefixes they were indexed under.
-    fn apply_changes<R: RibSource + ?Sized>(
-        &mut self,
-        changes: &[(DomainId, &[F], &[F])],
+    /// Resolves `domain`'s addresses to their announced prefixes and
+    /// stages the move from its record to them. Returns the `(old, new)`
+    /// lists; equal lists mean the family is unchanged for the domain
+    /// and nothing was staged.
+    fn stage<R: RibSource + ?Sized>(
+        &self,
+        domain: DomainId,
+        addrs: &[F],
         rib: &R,
+        pass: &mut FamilyPass<F>,
+    ) -> (PrefixList<F>, PrefixList<F>) {
+        let old = Arc::clone(self.domain_prefixes.get(&domain).unwrap_or(&pass.empty));
+        pass.resolved.clear();
+        pass.resolved
+            .extend(addrs.iter().filter_map(|&addr| rib.announced_prefix(addr)));
+        pass.resolved.sort_unstable();
+        pass.resolved.dedup();
+        if pass.resolved[..] == old[..] {
+            return (Arc::clone(&old), old);
+        }
+        for prefix in old.iter().filter(|p| !pass.resolved.contains(p)) {
+            pass.edits.push((*prefix, domain, false));
+        }
+        for prefix in pass.resolved.iter().filter(|p| !old.contains(p)) {
+            pass.edits.push((*prefix, domain, true));
+        }
+        let new = if pass.resolved.is_empty() {
+            Arc::clone(&pass.empty)
+        } else {
+            pass.resolved.as_slice().into()
+        };
+        pass.records.push((domain, Arc::clone(&new)));
+        (old, new)
+    }
+
+    /// Applies a pass: writes the changed records, then rebuilds each
+    /// group its edits touch — one merge and one arena re-cons per group
+    /// ([`SetArena::update`], recycling the dead set), in ascending
+    /// prefix order. Each rebuilt group's prefix is appended to `edited`.
+    fn commit(
+        &mut self,
+        mut pass: FamilyPass<F>,
         arena: &SetArena,
-        mut domain_touched: Option<&mut BTreeSet<Prefix<F>>>,
-        edited: Option<&mut BTreeSet<Prefix<F>>>,
-        mut moves: Option<&mut FamilyMoves<F>>,
+        mut edited: Option<&mut Vec<Prefix<F>>>,
     ) {
-        let mut group_adds: BTreeMap<Prefix<F>, Vec<DomainId>> = BTreeMap::new();
-        let mut group_removes: BTreeMap<Prefix<F>, Vec<DomainId>> = BTreeMap::new();
-
-        for &(domain, old_addrs, new_addrs) in changes {
-            if old_addrs == new_addrs {
-                // This family is unchanged (the other one moved), but the
-                // domain's cross-family candidate contribution is not, so
-                // its prefixes still count as hosting a changed domain —
-                // when the caller wants that set at all. The indexed
-                // prefix list *is* the sorted dedup of the RIB lookups.
-                let current: Vec<Prefix<F>> = self
-                    .domain_prefixes
-                    .get(&domain)
-                    .map(|p| p.to_vec())
-                    .unwrap_or_default();
-                if let Some(touched) = domain_touched.as_deref_mut() {
-                    touched.extend(current.iter().copied());
-                }
-                if let Some(moves) = moves.as_deref_mut() {
-                    moves.insert(domain, (current.clone(), current));
-                }
-                continue;
-            }
-            // Per-domain address/prefix sets are tiny (a handful of
-            // entries), so sorted Vecs beat tree sets here.
-            fn sorted_dedup<T: Ord>(mut v: Vec<T>) -> Vec<T> {
-                v.sort_unstable();
-                v.dedup();
-                v
-            }
-            let mut old_prefixes: Vec<Prefix<F>> = Vec::new();
-            let mut old_hosts: Vec<Prefix<F>> = Vec::new();
-            let mut unmapped_old = 0usize;
-            for &addr in old_addrs {
-                match rib.announced_prefix(addr) {
-                    Some(prefix) => {
-                        old_prefixes.push(prefix);
-                        old_hosts.push(F::host_prefix(addr));
-                    }
-                    None => unmapped_old += 1,
+        if !pass.records.is_empty() {
+            let records = Arc::make_mut(&mut self.domain_prefixes);
+            for (domain, list) in pass.records {
+                if list.is_empty() {
+                    records.remove(&domain);
+                } else {
+                    records.insert(domain, list);
                 }
             }
-            let old_prefixes = sorted_dedup(old_prefixes);
-            let old_hosts = sorted_dedup(old_hosts);
-            let mut new_prefixes: Vec<Prefix<F>> = Vec::new();
-            let mut new_hosts: Vec<Prefix<F>> = Vec::new();
-            let mut unmapped_new = 0usize;
-            for &addr in new_addrs {
-                match rib.announced_prefix(addr) {
-                    Some(prefix) => {
-                        new_prefixes.push(prefix);
-                        new_hosts.push(F::host_prefix(addr));
-                    }
-                    None => unmapped_new += 1,
-                }
-            }
-            let new_prefixes = sorted_dedup(new_prefixes);
-            let new_hosts = sorted_dedup(new_hosts);
-
-            for prefix in old_prefixes.iter().filter(|p| !new_prefixes.contains(p)) {
-                group_removes.entry(*prefix).or_default().push(domain);
-            }
-            for prefix in new_prefixes.iter().filter(|p| !old_prefixes.contains(p)) {
-                group_adds.entry(*prefix).or_default().push(domain);
-            }
-            if let Some(touched) = domain_touched.as_deref_mut() {
-                touched.extend(old_prefixes.iter().copied());
-                touched.extend(new_prefixes.iter().copied());
-            }
-            if let Some(moves) = moves.as_deref_mut() {
-                moves.insert(domain, (old_prefixes.clone(), new_prefixes.clone()));
-            }
-
-            for host in old_hosts.iter().filter(|h| !new_hosts.contains(h)) {
-                self.host_remove(host, domain);
-            }
-            for host in new_hosts.iter().filter(|h| !old_hosts.contains(h)) {
-                self.host_insert(host, domain);
-            }
-
-            let domain_map = Arc::make_mut(&mut self.domain_prefixes);
-            if new_prefixes.is_empty() {
-                domain_map.remove(&domain);
-            } else {
-                domain_map.insert(domain, new_prefixes.into());
-            }
-
-            self.unmapped = self.unmapped + unmapped_new - unmapped_old;
         }
-
-        // One set rebuild per touched group. A domain never appears in
-        // both lists of one prefix (its old and new prefix sets are
-        // disjoint where they differ), so application order is free.
-        let to_rebuild: BTreeSet<Prefix<F>> = group_adds
-            .keys()
-            .chain(group_removes.keys())
-            .copied()
-            .collect();
-        if let Some(edited) = edited {
-            edited.extend(to_rebuild.iter().copied());
-        }
-        if to_rebuild.is_empty() {
+        if pass.edits.is_empty() {
             return;
         }
+        pass.edits.sort_unstable();
         let groups = Arc::make_mut(&mut self.groups);
-        for prefix in to_rebuild {
-            let adds = group_adds.get(&prefix).map(Vec::as_slice).unwrap_or(&[]);
-            let removes = group_removes.get(&prefix).map(Vec::as_slice).unwrap_or(&[]);
-            match groups.remove(&prefix) {
-                Some(handle) => {
-                    let mut set = handle.as_slice().to_vec();
-                    if !removes.is_empty() {
-                        let dead: BTreeSet<DomainId> = removes.iter().copied().collect();
-                        set.retain(|d| !dead.contains(d));
-                    }
-                    if !adds.is_empty() {
-                        set.extend(adds.iter().copied());
-                        set.sort_unstable();
-                        set.dedup();
-                    }
-                    if set.is_empty() {
-                        arena.release(handle);
-                    } else {
-                        let new = arena.update(handle, set);
-                        groups.insert(prefix, new);
-                    }
+        for run in pass.edits.chunk_by(|a, b| a.0 == b.0) {
+            let prefix = run[0].0;
+            let old = groups.remove(&prefix);
+            let set = merge(old.as_ref().map_or(&[][..], SetHandle::as_slice), run);
+            match old {
+                Some(old) if set.is_empty() => arena.release(old),
+                Some(old) => {
+                    groups.insert(prefix, arena.update(old, set));
                 }
                 None => {
-                    debug_assert!(removes.is_empty(), "removal from an unindexed group");
-                    let mut set = adds.to_vec();
-                    set.sort_unstable();
-                    set.dedup();
-                    if !set.is_empty() {
-                        groups.insert(prefix, arena.intern(set));
-                    }
+                    groups.insert(prefix, arena.intern(set));
                 }
             }
-        }
-    }
-
-    /// Removes `domain` from a host's set in the SP-Tuner trie.
-    fn host_remove(&mut self, host: &Prefix<F>, domain: DomainId) {
-        let Some(set) = self.hosts.get_mut(host) else {
-            debug_assert!(false, "removing a domain from an unindexed host");
-            return;
-        };
-        if let Ok(pos) = set.binary_search(&domain) {
-            set.remove(pos);
-        }
-        if set.is_empty() {
-            self.hosts.remove(host);
-        }
-    }
-
-    /// Adds `domain` to a host's set in the SP-Tuner trie, keeping the
-    /// sorted-set invariant.
-    fn host_insert(&mut self, host: &Prefix<F>, domain: DomainId) {
-        match self.hosts.get_mut(host) {
-            Some(set) => {
-                if let Err(pos) = set.binary_search(&domain) {
-                    set.insert(pos, domain);
-                }
-            }
-            None => {
-                self.hosts.insert(*host, vec![domain]);
+            if let Some(edited) = edited.as_deref_mut() {
+                edited.push(prefix);
             }
         }
     }
@@ -309,7 +223,7 @@ impl<F: AddressFamily> FamilyIndex<F> {
 
     /// The shared domain→prefixes reverse map (see
     /// [`FamilyIndex::groups_shared`]).
-    pub(crate) fn domain_prefixes_shared(&self) -> Arc<BTreeMap<DomainId, Arc<[Prefix<F>]>>> {
+    pub(crate) fn domain_prefixes_shared(&self) -> Arc<BTreeMap<DomainId, PrefixList<F>>> {
         Arc::clone(&self.domain_prefixes)
     }
 
@@ -339,45 +253,20 @@ impl<F: AddressFamily> FamilyIndex<F> {
         self.domain_prefixes.get(&domain).map(|p| &p[..])
     }
 
-    /// Union of the domain sets of all hosts under an *arbitrary* prefix
-    /// (not necessarily announced) — the SP-Tuner set query. Sorted and
-    /// deduplicated.
-    pub fn domains_under(&self, prefix: &Prefix<F>) -> Vec<DomainId> {
-        let mut out = Vec::new();
-        for (_, set) in self.hosts.covered(prefix) {
-            out.extend(set.iter().copied());
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Whether any DS host lies under the given prefix.
-    pub fn occupied(&self, prefix: &Prefix<F>) -> bool {
-        self.hosts.branch_is_occupied(prefix)
-    }
-
     /// Number of distinct announced prefixes with DS domains.
     pub fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Number of distinct DS hosts indexed.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Addresses that had no covering announcement.
-    pub fn unmapped_count(&self) -> usize {
-        self.unmapped
     }
 }
 
 /// What applying a [`SnapshotDelta`] touched — the input of the engine's
 /// dirty-shard computation.
 ///
-/// The two sides carry deliberately different notions of "touched",
-/// matching how sharded scoring consumes them:
+/// A domain is *changed* when its announced-prefix list differs from
+/// its record in either family; a domain whose addresses moved inside
+/// the prefixes it already mapped to changes nothing detection reads.
+/// The two prefix sides carry deliberately different notions of
+/// "touched", matching how sharded scoring consumes them:
 ///
 /// * `touched_v4` is **conservative**: every v4 prefix a changed domain
 ///   mapped to before *or* after the delta, even when the group's
@@ -394,34 +283,36 @@ impl<F: AddressFamily> FamilyIndex<F> {
 /// Over-approximation can only over-rescore, never miss a change.
 #[derive(Debug, Clone, Default)]
 pub struct IndexDeltaReport {
-    /// IPv4 prefixes hosting a changed domain (before or after).
-    pub touched_v4: BTreeSet<Ipv4Prefix>,
-    /// IPv6 prefixes whose group membership changed.
-    pub touched_v6: BTreeSet<Ipv6Prefix>,
-    /// Domains whose effective (dual-stack) contribution changed.
+    /// IPv4 prefixes hosting a changed domain (before or after), sorted
+    /// and deduplicated.
+    pub touched_v4: Vec<Ipv4Prefix>,
+    /// IPv6 prefixes whose group membership changed, sorted.
+    pub touched_v6: Vec<Ipv6Prefix>,
+    /// Number of changed domains.
     pub changed_domains: usize,
-    /// Per changed domain: its announced-prefix lists before and after
-    /// the delta, both families (for a family the delta left untouched,
-    /// old and new are equal). The window scheduler maintains its
-    /// shard↔candidate index from these, churn-proportionally.
+    /// Per changed domain, in domain order: its announced-prefix lists
+    /// before and after the delta, both families (for a family whose
+    /// list did not change, old and new are equal). The window scheduler
+    /// maintains its shard↔candidate index from these,
+    /// churn-proportionally.
     pub moves: Vec<DomainMove>,
 }
 
-/// One changed domain's effective prefix transition (see
-/// [`IndexDeltaReport::moves`]). Lists are sorted and deduplicated; a
-/// family the domain does not (or no longer does) map into is empty.
+/// One changed domain's prefix transition (see
+/// [`IndexDeltaReport::moves`]). A family the domain does not (or no
+/// longer does) map into has an empty list.
 #[derive(Debug, Clone)]
 pub struct DomainMove {
     /// The changed domain.
     pub domain: DomainId,
     /// IPv4 announced prefixes before the delta.
-    pub old_v4: Vec<Ipv4Prefix>,
+    pub old_v4: PrefixList<u32>,
     /// IPv4 announced prefixes after the delta.
-    pub new_v4: Vec<Ipv4Prefix>,
+    pub new_v4: PrefixList<u32>,
     /// IPv6 announced prefixes before the delta.
-    pub old_v6: Vec<Ipv6Prefix>,
+    pub old_v6: PrefixList<u128>,
     /// IPv6 announced prefixes after the delta.
-    pub new_v6: Vec<Ipv6Prefix>,
+    pub new_v6: PrefixList<u128>,
 }
 
 /// [`DualStack`] slot selector: family `F` stores a [`FamilyIndex<F>`].
@@ -431,90 +322,50 @@ impl FamilyMap for IndexSlots {
     type Out<F: AddressFamily> = FamilyIndex<F>;
 }
 
-/// The per-snapshot index the rest of the pipeline works from.
+/// The grouping of one snapshot's DS domains by announced prefix — what
+/// detection scores, and the index the incremental engine carries.
 ///
 /// For every dual-stack domain, each address is mapped to its covering
-/// BGP-announced prefix (longest-prefix match against the Routeviews-style
-/// RIB of the same date, per §2.2); the index then holds, per family:
+/// BGP-announced prefix (longest-prefix match against the
+/// Routeviews-style RIB of the same date, per §2.2); the index then
+/// holds, per family:
 ///
 /// * per-prefix DS-domain sets (the sets whose Jaccard values define
 ///   sibling pairs);
-/// * per-domain prefix sets (used by the stability analysis, Fig. 7);
-/// * host tries keyed by the individual addresses with their domain sets —
-///   the two "PyTricia trees" SP-Tuner traverses (§3.3).
+/// * per-domain prefix lists, the *records* (the scorer's reverse map,
+///   and the stability analysis of Fig. 7).
 ///
-/// Both families share the single [`FamilyIndex`] implementation; methods
-/// here are family-generic and infer `F` from their prefix argument (or
-/// take an explicit `::<u32>` / `::<u128>` where no argument names it).
+/// Both families share the single [`FamilyIndex`] implementation;
+/// methods here are family-generic and infer `F` from their prefix
+/// argument (or take an explicit `::<u32>` / `::<u128>` where no argument
+/// names it).
 ///
 /// Group sets are hash-consed: both families intern into **one**
 /// [`SetArena`], so a v4 prefix and a v6 prefix carrying exactly the same
 /// DS domains hold handles with the same [`crate::arena::SetId`] and the
-/// scorer can short-circuit their intersection. Passing a caller-owned
-/// arena to [`PrefixDomainIndex::build_with_arena`] extends the sharing
-/// across snapshots (the batch driver's memory win).
+/// scorer can short-circuit their intersection. Building many indexes
+/// against one arena extends the sharing across snapshots (the batch
+/// driver's memory win).
 #[derive(Default)]
-pub struct PrefixDomainIndex {
+pub struct GroupIndex {
     families: DualStack<IndexSlots>,
 }
 
-impl PrefixDomainIndex {
-    /// Builds the index from a snapshot's dual-stack domains and the RIB
-    /// of the same date, interning group sets into a private arena.
-    ///
-    /// Addresses without a covering announcement are counted in
-    /// [`PrefixDomainIndex::unmapped_counts`] and otherwise ignored,
-    /// mirroring the ~1% of OpenINTEL records the paper backfills or
-    /// drops.
-    pub fn build<R: RibSource + ?Sized>(snapshot: &DnsSnapshot, rib: &R) -> Self {
-        Self::build_with_arena(snapshot, rib, &SetArena::new())
-    }
-
-    /// [`PrefixDomainIndex::build`] against a caller-owned arena, so
-    /// identical domain sets are shared across many indexes (e.g. the
-    /// months of a longitudinal window). The arena is concurrently
-    /// shareable, so many indexes may build against it in parallel.
-    pub fn build_with_arena<R: RibSource + ?Sized>(
-        snapshot: &DnsSnapshot,
-        rib: &R,
-        arena: &SetArena,
-    ) -> Self {
-        Self::build_source_with_arena(snapshot, rib, arena)
-    }
-
-    /// [`PrefixDomainIndex::build`] over any [`SnapshotSource`] — in
-    /// particular a zero-copy `SnapshotView` straight off the mmap'd
-    /// snapshot store, without ever materializing a `DnsSnapshot`'s
-    /// BTreeMap. The RIB side is symmetric: any [`RibSource`] serves,
-    /// including a store-backed mmap'd table.
-    pub fn build_source<S: SnapshotSource + ?Sized, R: RibSource + ?Sized>(
-        source: &S,
-        rib: &R,
-    ) -> Self {
-        Self::build_source_with_arena(source, rib, &SetArena::new())
-    }
-
-    /// [`PrefixDomainIndex::build_source`] against a caller-owned arena.
-    pub fn build_source_with_arena<S: SnapshotSource + ?Sized, R: RibSource + ?Sized>(
+impl GroupIndex {
+    /// Groups a snapshot's dual-stack domains against the RIB of the
+    /// same date, interning group sets into `arena` (which may be shared
+    /// by many indexes, built concurrently). `source` may be any
+    /// [`SnapshotSource`] — in particular a zero-copy `SnapshotView`
+    /// straight off the mmap'd snapshot store; any [`RibSource`] serves
+    /// the RIB side, including a store-backed mmap'd table. Addresses
+    /// without a covering announcement are ignored.
+    pub fn build<S: SnapshotSource + ?Sized, R: RibSource + ?Sized>(
         source: &S,
         rib: &R,
         arena: &SetArena,
     ) -> Self {
         let mut index = Self::default();
-        for (domain, v4, v6) in source.addr_entries() {
-            // Dual-stack filter (§3.1 step 1): both families present.
-            if v4.is_empty() || v6.is_empty() {
-                continue;
-            }
-            for &addr in v4 {
-                index.families.v4.add(domain, addr, rib);
-            }
-            for &addr in v6 {
-                index.families.v6.add(domain, addr, rib);
-            }
-        }
-        index.families.v4.finalize(arena);
-        index.families.v6.finalize(arena);
+        index.regroup(dual_stack(source), rib, arena, None);
         index
     }
 
@@ -524,79 +375,80 @@ impl PrefixDomainIndex {
     /// prefixes whose domain sets changed re-intern through the arena
     /// ([`SetArena::update`]), recycling dead set slots.
     ///
-    /// Only *effective* transitions mutate the index: a domain counts as
-    /// changed per §3.1 step 1 semantics, i.e. by its dual-stack
-    /// contribution (a v4-only domain remains invisible no matter how its
-    /// v4 addresses move).
+    /// The patch reads each change's `new` addresses only (through the
+    /// §3.1 step 1 dual-stack filter): a domain's old prefixes are its
+    /// record, so a delta whose `old` fields disagree with the base
+    /// cannot make the index diverge from a build of the target. A
+    /// domain named twice takes its last change, as in
+    /// [`SnapshotDelta::apply`].
     ///
     /// **Contract:** `self` was built (or last patched) against the same
-    /// `rib` and against the delta's base snapshot. Mappings are a pure
-    /// function of the RIB, so a changed RIB requires a full rebuild —
-    /// the engine enforces this via [`RibSource::same_table`].
+    /// `rib`, and the delta carries the snapshot `self` reflects to its
+    /// target. Mappings are a pure function of the RIB, so a changed RIB
+    /// requires a full rebuild — the engine enforces this via
+    /// [`RibSource::same_table`].
     pub fn apply_delta<R: RibSource + ?Sized>(
         &mut self,
         delta: &SnapshotDelta,
         rib: &R,
         arena: &SetArena,
     ) -> IndexDeltaReport {
+        // Latest change first within each domain, then keep one per
+        // domain (the sort is stable).
+        let mut changes: Vec<&DomainChange> = delta.changes().iter().rev().collect();
+        changes.sort_by_key(|change| change.domain);
+        changes.dedup_by_key(|change| change.domain);
+        let entries = changes.iter().map(|change| {
+            match change.new.as_ref().filter(|addrs| addrs.is_dual_stack()) {
+                Some(addrs) => (change.domain, &addrs.v4[..], &addrs.v6[..]),
+                None => (change.domain, &[][..], &[][..]),
+            }
+        });
         let mut report = IndexDeltaReport::default();
-        fn dual(addrs: &Option<ResolvedAddrs>) -> Option<&ResolvedAddrs> {
-            addrs.as_ref().filter(|a| a.is_dual_stack())
-        }
-        let mut v4_changes: Vec<(DomainId, &[u32], &[u32])> = Vec::new();
-        let mut v6_changes: Vec<(DomainId, &[u128], &[u128])> = Vec::new();
-        for change in delta.changes() {
-            let old = dual(&change.old);
-            let new = dual(&change.new);
-            if old == new {
-                // Single-stack noise: the domain was never (and is still
-                // not) part of the index.
+        self.regroup(entries, rib, arena, Some(&mut report));
+        report
+    }
+
+    /// The grouping routine of builds and patches: moves each entry's
+    /// domain from its record to the prefixes its addresses resolve
+    /// into (an empty entry drops the domain), then commits both
+    /// families — v4 first, so arena interning order is fixed. Entries
+    /// name each domain at most once. `report` collects what changed.
+    fn regroup<'a, R: RibSource + ?Sized>(
+        &mut self,
+        entries: impl Iterator<Item = AddrEntry<'a>>,
+        rib: &R,
+        arena: &SetArena,
+        mut report: Option<&mut IndexDeltaReport>,
+    ) {
+        let mut v4 = FamilyPass::default();
+        let mut v6 = FamilyPass::default();
+        for (domain, addrs_v4, addrs_v6) in entries {
+            let (old_v4, new_v4) = self.families.v4.stage(domain, addrs_v4, rib, &mut v4);
+            let (old_v6, new_v6) = self.families.v6.stage(domain, addrs_v6, rib, &mut v6);
+            let Some(report) = report.as_deref_mut() else {
+                continue;
+            };
+            if old_v4 == new_v4 && old_v6 == new_v6 {
                 continue;
             }
             report.changed_domains += 1;
-            let (old_v4, old_v6) = old.map_or((&[][..], &[][..]), |a| (&a.v4[..], &a.v6[..]));
-            let (new_v4, new_v6) = new.map_or((&[][..], &[][..]), |a| (&a.v4[..], &a.v6[..]));
-            v4_changes.push((change.domain, old_v4, new_v4));
-            v6_changes.push((change.domain, old_v6, new_v6));
+            report.touched_v4.extend(old_v4.iter().chain(new_v4.iter()));
+            report.moves.push(DomainMove {
+                domain,
+                old_v4,
+                new_v4,
+                old_v6,
+                new_v6,
+            });
         }
-        // v4 keeps the conservative domain-touched set (membership edits
-        // are a subset of it, so no edited set is needed); v6 keeps only
-        // actual membership edits. Both record the per-domain prefix
-        // transitions the scheduler's candidate index consumes.
-        let mut v4_moves: FamilyMoves<u32> = BTreeMap::new();
-        let mut v6_moves: FamilyMoves<u128> = BTreeMap::new();
-        self.families.v4.apply_changes(
-            &v4_changes,
-            rib,
-            arena,
-            Some(&mut report.touched_v4),
-            None,
-            Some(&mut v4_moves),
-        );
-        self.families.v6.apply_changes(
-            &v6_changes,
-            rib,
-            arena,
-            None,
-            Some(&mut report.touched_v6),
-            Some(&mut v6_moves),
-        );
-        // Both maps carry exactly the changed domains; zip them into one
-        // dual-stack transition per domain.
-        report.moves = v4_moves
-            .into_iter()
-            .map(|(domain, (old_v4, new_v4))| {
-                let (old_v6, new_v6) = v6_moves.remove(&domain).unwrap_or_default();
-                DomainMove {
-                    domain,
-                    old_v4,
-                    new_v4,
-                    old_v6,
-                    new_v6,
-                }
-            })
-            .collect();
-        report
+        self.families.v4.commit(v4, arena, None);
+        let touched_v6 = report.map(|report| {
+            report.touched_v4.sort_unstable();
+            report.touched_v4.dedup();
+            &mut report.touched_v6
+        });
+        self.families.v6.commit(v6, arena, touched_v6);
     }
 
     /// Consumes the index, releasing its interned group sets back to the
@@ -640,17 +492,6 @@ impl PrefixDomainIndex {
         self.family::<F>().prefixes_of_domain(domain)
     }
 
-    /// Union of the domain sets of all hosts under an arbitrary prefix
-    /// (sorted, deduplicated).
-    pub fn domains_under<F: AddressFamily>(&self, prefix: &Prefix<F>) -> Vec<DomainId> {
-        self.family::<F>().domains_under(prefix)
-    }
-
-    /// Whether any DS host lies under the given prefix.
-    pub fn occupied<F: AddressFamily>(&self, prefix: &Prefix<F>) -> bool {
-        self.family::<F>().occupied(prefix)
-    }
-
     /// Number of distinct (v4, v6) announced prefixes with DS domains.
     pub fn group_counts(&self) -> (usize, usize) {
         (
@@ -658,18 +499,161 @@ impl PrefixDomainIndex {
             self.families.v6.group_count(),
         )
     }
+}
+
+/// The SP-Tuner half of one family of a [`PrefixDomainIndex`].
+struct FamilyHosts<F: AddressFamily> {
+    /// Every mapped DS address as a host route, with the domains on it
+    /// (the "PyTricia tree" SP-Tuner traverses, §3.3).
+    hosts: PatriciaTrie<F, Vec<DomainId>>,
+    /// DS addresses no announcement covers.
+    unmapped: usize,
+}
+
+impl<F: AddressFamily> Default for FamilyHosts<F> {
+    fn default() -> Self {
+        Self {
+            hosts: PatriciaTrie::new(),
+            unmapped: 0,
+        }
+    }
+}
+
+impl<F: AddressFamily> FamilyHosts<F> {
+    /// Adds one domain's addresses. `announced` is the domain's record:
+    /// it holds the longest match of every mapped address, so an address
+    /// is mapped exactly when one of those prefixes contains it. Domains
+    /// arrive in ascending order, so each host's list stays sorted.
+    fn add(&mut self, domain: DomainId, addrs: &[F], announced: &[Prefix<F>]) {
+        for &addr in addrs {
+            if !announced.iter().any(|prefix| prefix.contains(addr)) {
+                self.unmapped += 1;
+                continue;
+            }
+            let host = F::host_prefix(addr);
+            match self.hosts.get_mut(&host) {
+                Some(set) => set.push(domain),
+                None => {
+                    self.hosts.insert(host, vec![domain]);
+                }
+            }
+        }
+    }
+
+    /// Union of the domain sets of all hosts under an *arbitrary* prefix
+    /// (not necessarily announced) — the SP-Tuner set query. Sorted and
+    /// deduplicated.
+    fn domains_under(&self, prefix: &Prefix<F>) -> Vec<DomainId> {
+        let mut out = Vec::new();
+        for (_, set) in self.hosts.covered(prefix) {
+            out.extend(set.iter().copied());
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
+/// [`DualStack`] slot selector: family `F` stores a [`FamilyHosts<F>`].
+struct HostSlots;
+
+impl FamilyMap for HostSlots {
+    type Out<F: AddressFamily> = FamilyHosts<F>;
+}
+
+/// The analysis index: a snapshot's [`GroupIndex`] plus, per family, a
+/// host trie keyed by the individual DS addresses with their domain sets
+/// — the two "PyTricia trees" SP-Tuner traverses (§3.3) — and the count
+/// of DS addresses no announcement covers.
+///
+/// It derefs to its [`GroupIndex`], so detection and every group query
+/// read it directly. It is built whole and never patched: the engine's
+/// incremental path carries a bare [`GroupIndex`].
+#[derive(Default)]
+pub struct PrefixDomainIndex {
+    groups: GroupIndex,
+    hosts: DualStack<HostSlots>,
+}
+
+impl Deref for PrefixDomainIndex {
+    type Target = GroupIndex;
+
+    fn deref(&self) -> &GroupIndex {
+        &self.groups
+    }
+}
+
+impl PrefixDomainIndex {
+    /// Builds the index from a snapshot's dual-stack domains and the RIB
+    /// of the same date, interning group sets into a private arena.
+    ///
+    /// Addresses without a covering announcement are counted in
+    /// [`PrefixDomainIndex::unmapped_counts`] and otherwise ignored,
+    /// mirroring the ~1% of OpenINTEL records the paper backfills or
+    /// drops.
+    pub fn build<R: RibSource + ?Sized>(snapshot: &DnsSnapshot, rib: &R) -> Self {
+        Self::build_source_with_arena(snapshot, rib, &SetArena::new())
+    }
+
+    /// [`PrefixDomainIndex::build`] against a caller-owned arena, so
+    /// identical domain sets are shared across many indexes (e.g. the
+    /// months of a longitudinal window). The arena is concurrently
+    /// shareable, so many indexes may build against it in parallel.
+    pub fn build_with_arena<R: RibSource + ?Sized>(
+        snapshot: &DnsSnapshot,
+        rib: &R,
+        arena: &SetArena,
+    ) -> Self {
+        Self::build_source_with_arena(snapshot, rib, arena)
+    }
+
+    /// [`PrefixDomainIndex::build`] over any [`SnapshotSource`] (see
+    /// [`GroupIndex::build`]).
+    pub fn build_source<S: SnapshotSource + ?Sized, R: RibSource + ?Sized>(
+        source: &S,
+        rib: &R,
+    ) -> Self {
+        Self::build_source_with_arena(source, rib, &SetArena::new())
+    }
+
+    /// [`PrefixDomainIndex::build_source`] against a caller-owned arena.
+    pub fn build_source_with_arena<S: SnapshotSource + ?Sized, R: RibSource + ?Sized>(
+        source: &S,
+        rib: &R,
+        arena: &SetArena,
+    ) -> Self {
+        let groups = GroupIndex::build(source, rib, arena);
+        let mut hosts = DualStack::<HostSlots>::default();
+        for (domain, v4, v6) in dual_stack(source) {
+            let announced_v4 = groups.prefixes_of_domain::<u32>(domain).unwrap_or_default();
+            let announced_v6 = groups
+                .prefixes_of_domain::<u128>(domain)
+                .unwrap_or_default();
+            hosts.v4.add(domain, v4, announced_v4);
+            hosts.v6.add(domain, v6, announced_v6);
+        }
+        Self { groups, hosts }
+    }
+
+    /// Union of the domain sets of all hosts under an arbitrary prefix
+    /// (sorted, deduplicated).
+    pub fn domains_under<F: AddressFamily>(&self, prefix: &Prefix<F>) -> Vec<DomainId> {
+        self.hosts.get::<F>().domains_under(prefix)
+    }
+
+    /// Whether any DS host lies under the given prefix.
+    pub fn occupied<F: AddressFamily>(&self, prefix: &Prefix<F>) -> bool {
+        self.hosts.get::<F>().hosts.branch_is_occupied(prefix)
+    }
 
     /// Addresses that had no covering announcement (v4, v6).
     pub fn unmapped_counts(&self) -> (usize, usize) {
-        (
-            self.families.v4.unmapped_count(),
-            self.families.v6.unmapped_count(),
-        )
+        (self.hosts.v4.unmapped, self.hosts.v6.unmapped)
     }
 
     /// Number of distinct DS hosts (v4, v6) indexed.
     pub fn host_counts(&self) -> (usize, usize) {
-        (self.families.v4.host_count(), self.families.v6.host_count())
+        (self.hosts.v4.hosts.len(), self.hosts.v6.hosts.len())
     }
 }
 
@@ -677,7 +661,9 @@ impl PrefixDomainIndex {
 mod tests {
     use super::*;
     use sibling_bgp::Rib;
+    use sibling_dns::ResolvedAddrs;
     use sibling_net_types::{Asn, Ipv4Prefix, Ipv6Prefix, MonthDate};
+    use std::collections::BTreeSet;
 
     fn a4(s: &str) -> u32 {
         s.parse::<std::net::Ipv4Addr>().unwrap().into()
@@ -713,6 +699,11 @@ mod tests {
         );
         snap.merge(DomainId(2), vec![a4("198.51.9.9")], vec![]);
         (snap, rib)
+    }
+
+    /// A group index built against a private arena.
+    fn grouped(snap: &DnsSnapshot, rib: &Rib) -> GroupIndex {
+        GroupIndex::build(snap, rib, &SetArena::new())
     }
 
     #[test]
@@ -874,8 +865,20 @@ mod tests {
         );
     }
 
-    /// The two indexes answer every public query identically.
-    fn assert_index_equiv(got: &PrefixDomainIndex, want: &PrefixDomainIndex, what: &str) {
+    /// Every indexed domain of either index, ascending.
+    fn indexed_domains(a: &GroupIndex, b: &GroupIndex) -> BTreeSet<DomainId> {
+        [a, b]
+            .into_iter()
+            .flat_map(|index| {
+                let v4 = index.groups::<u32>().flat_map(|(_, d)| d.iter().copied());
+                let v6 = index.groups::<u128>().flat_map(|(_, d)| d.iter().copied());
+                v4.chain(v6).collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// The two indexes hold the same groups and the same records.
+    fn assert_groups_equiv(got: &GroupIndex, want: &GroupIndex, what: &str) {
         let g4: Vec<_> = got.groups::<u32>().map(|(p, d)| (*p, d.to_vec())).collect();
         let w4: Vec<_> = want
             .groups::<u32>()
@@ -891,20 +894,7 @@ mod tests {
             .map(|(p, d)| (*p, d.to_vec()))
             .collect();
         assert_eq!(g6, w6, "v6 groups differ: {what}");
-        assert_eq!(got.unmapped_counts(), want.unmapped_counts(), "{what}");
-        assert_eq!(got.host_counts(), want.host_counts(), "{what}");
-        for (p, _) in &w4 {
-            assert_eq!(got.domains_under(p), want.domains_under(p), "{what}");
-        }
-        for (p, _) in &w6 {
-            assert_eq!(got.domains_under(p), want.domains_under(p), "{what}");
-        }
-        let domains: BTreeSet<DomainId> = w4
-            .iter()
-            .flat_map(|(_, d)| d.iter().copied())
-            .chain(w6.iter().flat_map(|(_, d)| d.iter().copied()))
-            .collect();
-        for d in domains {
+        for d in indexed_domains(got, want) {
             assert_eq!(
                 got.prefixes_of_domain::<u32>(d),
                 want.prefixes_of_domain::<u32>(d),
@@ -916,6 +906,99 @@ mod tests {
                 "{what}"
             );
         }
+    }
+
+    /// `report` is exactly what the full builds of a patch's base and
+    /// target say it must be (see [`IndexDeltaReport`]).
+    fn assert_report(report: &IndexDeltaReport, base: &GroupIndex, target: &GroupIndex) {
+        fn list<F: AddressFamily>(index: &GroupIndex, d: DomainId) -> Vec<Prefix<F>> {
+            index
+                .prefixes_of_domain::<F>(d)
+                .unwrap_or_default()
+                .to_vec()
+        }
+        let moves: Vec<_> = indexed_domains(base, target)
+            .into_iter()
+            .map(|d| {
+                let v4 = (list::<u32>(base, d), list::<u32>(target, d));
+                let v6 = (list::<u128>(base, d), list::<u128>(target, d));
+                (d, v4, v6)
+            })
+            .filter(|(_, v4, v6)| v4.0 != v4.1 || v6.0 != v6.1)
+            .collect();
+        let got: Vec<_> = report
+            .moves
+            .iter()
+            .map(|m| {
+                let v4 = (m.old_v4.to_vec(), m.new_v4.to_vec());
+                (m.domain, v4, (m.old_v6.to_vec(), m.new_v6.to_vec()))
+            })
+            .collect();
+        assert_eq!(got, moves, "moves");
+        assert_eq!(report.changed_domains, moves.len(), "changed_domains");
+        let touched_v4: BTreeSet<Ipv4Prefix> = moves
+            .iter()
+            .flat_map(|(_, (old, new), _)| old.iter().chain(new).copied())
+            .collect();
+        assert_eq!(report.touched_v4, Vec::from_iter(touched_v4), "touched_v4");
+        let v6: BTreeSet<Ipv6Prefix> = base
+            .groups::<u128>()
+            .chain(target.groups::<u128>())
+            .map(|(p, _)| *p)
+            .collect();
+        let touched_v6: Vec<Ipv6Prefix> = v6
+            .into_iter()
+            .filter(|p| base.domains(p) != target.domains(p))
+            .collect();
+        assert_eq!(report.touched_v6, touched_v6, "touched_v6");
+    }
+
+    /// The analysis index's host tries and unmapped counts agree with a
+    /// direct walk of the snapshot's dual-stack addresses.
+    fn assert_hosts_match(index: &PrefixDomainIndex, snap: &DnsSnapshot, rib: &Rib) {
+        fn family<F: AddressFamily>(
+            index: &PrefixDomainIndex,
+            rib: &Rib,
+            addrs: impl Iterator<Item = (DomainId, F)>,
+        ) -> (usize, usize) {
+            let mut hosts: BTreeMap<F, BTreeSet<DomainId>> = BTreeMap::new();
+            let mut unmapped = 0;
+            for (domain, addr) in addrs {
+                match rib.announced_prefix(addr) {
+                    Some(_) => {
+                        hosts.entry(addr).or_default().insert(domain);
+                    }
+                    None => unmapped += 1,
+                }
+            }
+            for (addr, domains) in &hosts {
+                let under = index.domains_under(&F::host_prefix(*addr));
+                assert_eq!(under, domains.iter().copied().collect::<Vec<_>>());
+            }
+            for (prefix, _) in index.groups::<F>() {
+                let want: BTreeSet<DomainId> = hosts
+                    .iter()
+                    .filter(|(addr, _)| prefix.contains(**addr))
+                    .flat_map(|(_, domains)| domains.iter().copied())
+                    .collect();
+                assert_eq!(index.domains_under(prefix), Vec::from_iter(want));
+                assert!(index.occupied(prefix));
+            }
+            (hosts.len(), unmapped)
+        }
+        let ds = || snap.entries().filter(|(_, a)| a.is_dual_stack());
+        let (hosts_v4, unmapped_v4) = family(
+            index,
+            rib,
+            ds().flat_map(|(d, a)| a.v4.iter().map(move |x| (d, *x))),
+        );
+        let (hosts_v6, unmapped_v6) = family(
+            index,
+            rib,
+            ds().flat_map(|(d, a)| a.v6.iter().map(move |x| (d, *x))),
+        );
+        assert_eq!(index.host_counts(), (hosts_v4, hosts_v6));
+        assert_eq!(index.unmapped_counts(), (unmapped_v4, unmapped_v6));
     }
 
     #[test]
@@ -954,27 +1037,28 @@ mod tests {
         new.merge(DomainId(4), vec![a4("203.0.4.4")], vec![a6("2600:1000::4")]);
 
         let arena = SetArena::new();
-        let mut patched = PrefixDomainIndex::build_with_arena(&old, &rib, &arena);
+        let mut patched = GroupIndex::build(&old, &rib, &arena);
         let delta = SnapshotDelta::diff(&old, &new);
         let report = patched.apply_delta(&delta, &rib, &arena);
-        let want = PrefixDomainIndex::build(&new, &rib);
-        assert_index_equiv(&patched, &want, "after mixed churn");
+        let want = grouped(&new, &rib);
+        assert_groups_equiv(&patched, &want, "after mixed churn");
         assert_eq!(report.changed_domains, 4, "d2 is untouched");
         assert!(report.touched_v4.contains(&p4("198.51.0.0/16")));
         assert!(report.touched_v4.contains(&p4("203.0.0.0/16")));
         assert!(report.touched_v6.contains(&p6("2600:1000::/32")));
+        assert_report(&report, &grouped(&old, &rib), &want);
     }
 
     #[test]
     fn apply_delta_empty_and_identity() {
         let (snap, rib) = fixture();
         let arena = SetArena::new();
-        let mut index = PrefixDomainIndex::build_with_arena(&snap, &rib, &arena);
+        let mut index = GroupIndex::build(&snap, &rib, &arena);
         let delta = SnapshotDelta::diff(&snap, &snap);
         let report = index.apply_delta(&delta, &rib, &arena);
         assert_eq!(report.changed_domains, 0);
         assert!(report.touched_v4.is_empty() && report.touched_v6.is_empty());
-        assert_index_equiv(&index, &PrefixDomainIndex::build(&snap, &rib), "identity");
+        assert_groups_equiv(&index, &grouped(&snap, &rib), "identity");
     }
 
     #[test]
@@ -1003,26 +1087,96 @@ mod tests {
         );
 
         let arena = SetArena::new();
-        let mut index = PrefixDomainIndex::build_with_arena(&old, &rib, &arena);
+        let mut index = GroupIndex::build(&old, &rib, &arena);
         let live_before = arena.len();
         index.apply_delta(&SnapshotDelta::diff(&old, &new), &rib, &arena);
         assert!(arena.recycled_count() > 0, "shrunk sets recycle");
         assert!(arena.len() <= live_before);
-        assert_index_equiv(&index, &PrefixDomainIndex::build(&new, &rib), "shrink");
+        assert_groups_equiv(&index, &grouped(&new, &rib), "shrink");
+    }
+
+    /// The patch never reads a change's `old` fields: a delta that lies
+    /// about them (and names a domain twice) still lands exactly on a
+    /// build of the snapshot it really produces.
+    #[test]
+    fn apply_delta_ignores_lying_old_fields() {
+        let mut rib = Rib::new();
+        rib.announce(p4("198.51.0.0/16"), Asn(1));
+        rib.announce(p4("203.0.0.0/16"), Asn(2));
+        rib.announce(p4("192.0.2.0/24"), Asn(3));
+        rib.announce(p6("2600:1000::/32"), Asn(1));
+        rib.announce(p6("2600:2000::/32"), Asn(2));
+        rib.announce(p6("2600:3000::/32"), Asn(3));
+        let addrs = |v4: &str, v6: &str| {
+            Some(ResolvedAddrs {
+                v4: vec![a4(v4)],
+                v6: vec![a6(v6)],
+            })
+        };
+        let mut base = DnsSnapshot::new(MonthDate::new(2024, 8));
+        base.merge(
+            DomainId(0),
+            vec![a4("198.51.1.1")],
+            vec![a6("2600:1000::1")],
+        );
+        base.merge(
+            DomainId(1),
+            vec![a4("198.51.1.2")],
+            vec![a6("2600:1000::2")],
+        );
+        base.merge(DomainId(2), vec![a4("203.0.1.1")], vec![a6("2600:2000::1")]);
+        let change = |domain: u32, old, new| DomainChange {
+            domain: DomainId(domain),
+            old,
+            new,
+        };
+        let delta = SnapshotDelta::from_changes(
+            MonthDate::new(2024, 8),
+            MonthDate::new(2024, 9),
+            vec![
+                // Present, claimed absent: d0 moves its v4 side.
+                change(0, None, addrs("203.0.9.9", "2600:1000::1")),
+                // Wrong addresses, in a prefix with no group: d1 leaves.
+                change(1, addrs("192.0.2.1", "2600:3000::1"), None),
+                // Wrong addresses: d2 moves its v6 side.
+                change(
+                    2,
+                    addrs("198.51.1.2", "2600:1000::2"),
+                    addrs("203.0.1.1", "2600:1000::9"),
+                ),
+                // Absent, claimed present: d5 appears, d7 stays absent.
+                change(
+                    5,
+                    addrs("192.0.2.5", "2600:3000::5"),
+                    addrs("198.51.5.5", "2600:2000::5"),
+                ),
+                change(7, addrs("192.0.2.7", "2600:3000::7"), None),
+                // Named twice: the last change stands.
+                change(2, None, addrs("192.0.2.2", "2600:2000::1")),
+            ],
+        );
+        let target = delta.apply(&base);
+        let arena = SetArena::new();
+        let mut patched = GroupIndex::build(&base, &rib, &arena);
+        let report = patched.apply_delta(&delta, &rib, &arena);
+        let want = grouped(&target, &rib);
+        assert_groups_equiv(&patched, &want, "lying old fields");
+        assert_report(&report, &grouped(&base, &rib), &want);
+        assert_eq!(report.changed_domains, 4, "d0, d1, d2 and d5");
     }
 
     #[test]
     fn release_sets_recycles_everything_not_shared() {
         let (snap, rib) = fixture();
         let arena = SetArena::new();
-        let index = PrefixDomainIndex::build_with_arena(&snap, &rib, &arena);
+        let index = GroupIndex::build(&snap, &rib, &arena);
         assert!(!arena.is_empty());
         index.release_sets(&arena);
         assert!(arena.is_empty(), "no other holders: everything recycles");
 
         // With a second index sharing the arena, only unshared sets go.
-        let a = PrefixDomainIndex::build_with_arena(&snap, &rib, &arena);
-        let b = PrefixDomainIndex::build_with_arena(&snap, &rib, &arena);
+        let a = GroupIndex::build(&snap, &rib, &arena);
+        let b = GroupIndex::build(&snap, &rib, &arena);
         let live = arena.len();
         a.release_sets(&arena);
         assert_eq!(arena.len(), live, "b still holds every set");
@@ -1033,14 +1187,18 @@ mod tests {
     /// Property: for random snapshot pairs over a fixed RIB, patching the
     /// base index with the diff is equivalent to rebuilding from the
     /// target snapshot — including dual-stack transitions, unmapped
-    /// addresses, and full turnover.
+    /// addresses, address moves inside a prefix, and full turnover — and
+    /// its report is exactly what the two builds imply. The analysis
+    /// builds of both snapshots carry host tries that match the
+    /// snapshots.
     #[test]
     fn prop_apply_delta_equals_rebuild() {
         use proptest::test_runner::TestRunner;
         let mut runner = TestRunner::default();
-        // Per domain and month: (v4 variant 0..4, v6 variant 0..4);
-        // variant 0 = family absent, 3 = unmapped address space.
-        let entry = || (0u32..10, 0u8..4, 0u8..4);
+        // Per domain and month: (v4 variant 0..5, v6 variant 0..5);
+        // variant 0 = family absent, 1–2 = a host in prefix 0 or 1,
+        // 3 = unmapped address space, 4 = another host in prefix 0.
+        let entry = || (0u32..10, 0u8..5, 0u8..5);
         let strategy = (
             proptest::collection::vec(entry(), 0..20),
             proptest::collection::vec(entry(), 0..20),
@@ -1061,11 +1219,13 @@ mod tests {
                         let v4: Vec<u32> = match v4 {
                             0 => vec![],
                             3 => vec![0x0A00_0000 | *id], // 10/8: unmapped
+                            4 => vec![0xCB00_0000 | (*id + 101)],
                             k => vec![0xCB00_0000 | ((*k as u32 - 1) << 8) | (*id + 1)],
                         };
                         let v6: Vec<u128> = match v6 {
                             0 => vec![],
                             3 => vec![(0xFC00u128 << 112) | *id as u128],
+                            4 => vec![(0x2600u128 << 112) | (*id as u128 + 101)],
                             k => vec![
                                 (0x2600u128 << 112)
                                     | (((*k as u128) - 1) << 80)
@@ -1079,13 +1239,46 @@ mod tests {
                 let a = build(MonthDate::new(2024, 8), &ea);
                 let b = build(MonthDate::new(2024, 9), &eb);
                 let arena = SetArena::new();
-                let mut patched = PrefixDomainIndex::build_with_arena(&a, &rib, &arena);
-                patched.apply_delta(&SnapshotDelta::diff(&a, &b), &rib, &arena);
+                let mut patched = GroupIndex::build(&a, &rib, &arena);
+                let report = patched.apply_delta(&SnapshotDelta::diff(&a, &b), &rib, &arena);
                 let want = PrefixDomainIndex::build(&b, &rib);
-                assert_index_equiv(&patched, &want, "random churn");
+                assert_groups_equiv(&patched, &want, "random churn");
+                let base = PrefixDomainIndex::build(&a, &rib);
+                assert_report(&report, &base, &want);
+                assert_hosts_match(&base, &a, &rib);
+                assert_hosts_match(&want, &b, &rib);
                 Ok(())
             })
             .unwrap();
+    }
+
+    #[test]
+    fn host_tries_follow_nested_announcements() {
+        // A /24 inside an announced /16: each address is mapped through
+        // its longest match, and only uncovered addresses are unmapped.
+        let mut rib = Rib::new();
+        rib.announce(p4("198.51.0.0/16"), Asn(1));
+        rib.announce(p4("198.51.1.0/24"), Asn(2));
+        rib.announce(p6("2600:1000::/32"), Asn(1));
+        let mut snap = DnsSnapshot::new(MonthDate::new(2024, 9));
+        snap.merge(
+            DomainId(0),
+            vec![a4("198.51.1.1"), a4("198.51.9.9"), a4("10.0.0.1")],
+            vec![a6("2600:1000::1"), a6("fc00::1")],
+        );
+        snap.merge(
+            DomainId(1),
+            vec![a4("198.51.9.9")],
+            vec![a6("2600:1000::2")],
+        );
+        let index = PrefixDomainIndex::build(&snap, &rib);
+        assert_eq!(index.unmapped_counts(), (1, 1));
+        assert_eq!(index.host_counts(), (2, 2));
+        assert_eq!(
+            index.prefixes_of_domain::<u32>(DomainId(0)).unwrap(),
+            &[p4("198.51.0.0/16"), p4("198.51.1.0/24")]
+        );
+        assert_hosts_match(&index, &snap, &rib);
     }
 
     #[test]

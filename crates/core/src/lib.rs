@@ -7,9 +7,10 @@
 //! 1. **DS-domain extraction** (§3.1 step 1) is provided by
 //!    [`sibling_dns::DnsSnapshot`]; the pipeline consumes its dual-stack
 //!    entries.
-//! 2. **Prefix grouping** (step 2): [`PrefixDomainIndex`] maps every
-//!    DS-domain address to its BGP-announced prefix (Routeviews-style
-//!    longest-prefix match) and groups domains per prefix, per family.
+//! 2. **Prefix grouping** (step 2): [`GroupIndex`] maps every DS-domain
+//!    address to its BGP-announced prefix (Routeviews-style
+//!    longest-prefix match) and groups domains per prefix, per family;
+//!    [`PrefixDomainIndex`] adds the host tries SP-Tuner walks.
 //! 3. **Similarity** (step 3): [`metrics`] implements the Jaccard index
 //!    together with the Dice and overlap coefficients the paper compares
 //!    in §3.2, using exact rational arithmetic so tie handling is exact.
@@ -49,7 +50,7 @@ pub mod tuner;
 pub use arena::{SetArena, SetHandle, SetId};
 pub use engine::{BatchRun, BatchStats, DetectEngine, EngineConfig, MonthChurn, MonthTiming};
 pub use epoch::{EpochState, IngestError};
-pub use index::{DomainMove, IndexDeltaReport, PrefixDomainIndex};
+pub use index::{DomainMove, GroupIndex, IndexDeltaReport, PrefixDomainIndex};
 pub use metrics::{dice, intersection_size, jaccard, overlap_coefficient, Ratio, SimilarityMetric};
 pub use pipeline::{detect, BestMatchPolicy, SiblingPair, SiblingSet};
 pub use query::{

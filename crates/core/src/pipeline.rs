@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix};
 
-use crate::index::PrefixDomainIndex;
+use crate::index::GroupIndex;
 use crate::metrics::{Ratio, SimilarityMetric};
 
 /// One sibling prefix pair with its similarity evidence.
@@ -178,11 +178,7 @@ pub(crate) fn best_match_keep(
 /// (they cannot arise from the candidate generation, which requires a
 /// shared domain, but the invariant is enforced for defence in depth);
 /// ties at the maximum are all kept.
-pub fn detect(
-    index: &PrefixDomainIndex,
-    metric: SimilarityMetric,
-    policy: BestMatchPolicy,
-) -> SiblingSet {
+pub fn detect(index: &GroupIndex, metric: SimilarityMetric, policy: BestMatchPolicy) -> SiblingSet {
     // Candidate generation through domain co-occurrence: a pair can only
     // have non-zero similarity if some domain resolves into both prefixes.
     let mut candidates: BTreeSet<(Ipv4Prefix, Ipv6Prefix)> = BTreeSet::new();
@@ -250,6 +246,7 @@ pub fn detect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::PrefixDomainIndex;
     use sibling_bgp::Rib;
     use sibling_dns::{DnsSnapshot, DomainId};
     use sibling_net_types::{Asn, MonthDate};
