@@ -221,9 +221,11 @@ mod tests {
         let ctx = AnalysisContext::new(World::generate(WorldConfig::test_tiny(5)));
         let day0 = ctx.day0();
         let dates = vec![day0.add_months(-2), day0.add_months(-1), day0];
+        let arena_before = ctx.interned_set_count();
         let batch = ctx.batch_default_pairs(&dates);
         assert_eq!(batch.len(), 3);
-        assert!(ctx.interned_set_count() > 0);
+        // The shared engine releases every set the window interned.
+        assert_eq!(ctx.interned_set_count(), arena_before);
         for (date, set) in &batch {
             // The per-date entry point must return the *same* Arc (the
             // batch filled the cache) — which also implies identical

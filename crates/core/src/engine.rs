@@ -1097,7 +1097,7 @@ impl DetectEngine {
         // which of its sets sit parked in the graveyard depends on
         // scheduling, so dropping it first would let the sweep recycle a
         // schedule-dependent share of them.
-        let (mut run, _last) = result?;
+        let (mut run, last) = result?;
         // Arena accounting happens strictly after the scope has drained:
         // collection unblocks on each month's `Slot::set`, but a score
         // bundle still holds its captured view/handles for an instant
@@ -1108,6 +1108,13 @@ impl DetectEngine {
         run.stats.distinct_sets = self.arena.len();
         run.stats.dedup_hits = self.arena.dedup_hits();
         run.stats.recycled_sets = self.arena.recycled_count() - recycled_before;
+        // Only now retire the last month's index: the stats above read
+        // the window as it ended, and an engine reused across calls gets
+        // its arena back as it was before this one.
+        if let Some(last) = last {
+            last.index.release_sets(&self.arena);
+            self.arena.sweep();
+        }
         Ok(run)
     }
 

@@ -7,30 +7,56 @@
 //!
 //! Every accepted delta follows the same order:
 //!
-//! 1. **Journal** — the delta is appended (checksummed, fsynced) to the
-//!    write-ahead journal *before* anything else. From this point the
-//!    delta survives a crash.
-//! 2. **Apply** — [`EpochState::ingest`] patches the private generation
-//!    and derives the next index. Any failure or panic here rolls
-//!    back to the committed generation; the journaled record stays, and
-//!    replay re-applies it at the next startup (so a crash between
-//!    append and publish loses nothing).
-//! 3. **Publish** — one [`PublishedWindow::swap`]: readers pinning the
+//! 1. **Validate** — a malformed delta is rejected before anything
+//!    durable happens, so every journal record replays cleanly.
+//! 2. **Close** (appends only, with a store) — the committed tail, the
+//!    month the append closes, is written to the snapshot store behind
+//!    any queued months, then the journal is reset. Every record the
+//!    reset drops has its effect in the store, because the append is
+//!    not journaled yet. A failed write keeps the journal and queues
+//!    the month; the next close writes every queued month before the
+//!    tail, so the journal is reset only once every month it covers is
+//!    stored.
+//! 3. **Journal** — the delta is appended (checksummed, fsynced) to the
+//!    write-ahead journal. From this point the delta survives a crash.
+//! 4. **Apply** — [`EpochState::ingest`] patches the private generation
+//!    in place (unless a failed close queued the tail, nothing else
+//!    holds it, so it is not copied) and derives the next index. Any failure or panic here rolls back to
+//!    the committed generation; the journaled record stays, and replay
+//!    re-applies it at the next startup (so a crash between append and
+//!    publish loses nothing).
+//! 5. **Publish** — one [`PublishedWindow::swap`]: readers pinning the
 //!    next request see the new epoch, in-flight requests finish on the
 //!    one they pinned. A replication primary then publishes the delta
 //!    to its feed.
-//! 4. **Compact** (append months, with a store) — the previous tail
-//!    month (with every retarget since its own compaction folded in)
-//!    and the new tail month are written to the snapshot store, then
-//!    the journal is truncated. A failure anywhere in this step is
-//!    tolerated: the journal still holds the deltas, so durability is
-//!    unbroken. The outgoing month stays queued, and the next
-//!    compaction writes every queued month before the tail: the
-//!    journal is truncated only once every month it covers is stored.
+//!
+//! So the store holds the closed months and the journal the open one:
+//! right after an append with a store, the store holds every month
+//! before the tail and not the tail itself, and the journal holds
+//! exactly the tail month's records — its append and any later
+//! retargets. (A recovery compaction may store an earlier state of the
+//! tail month; the journal's retargets supersede it.) A restart seeds
+//! the window through the stored months and replays the rest. Epochs
+//! count the journal's sequence numbers, which a reset never moves, so
+//! the close changes no delta's epoch.
+//!
+//! The crash points of a close:
+//!
+//! - *After the store write, before the reset:* the journal still holds
+//!   the closed month's records. A restart seeds the window through the
+//!   stored month, skips its append and re-applies its retargets as
+//!   no-ops.
+//! - *After the reset, before the journal append:* the delta was never
+//!   acknowledged. The store holds the committed tail and the journal
+//!   is empty.
+//! - *After the journal append:* replay re-applies the append, as for
+//!   any journaled delta.
 //!
 //! [`LiveWindow::recover`] is the inverse: open the journal (discarding
 //! a torn tail), re-apply every record the committed window does not
-//! already contain, publish once, and compact what replay added.
+//! already contain — closing the tail before each append, but never
+//! resetting the journal mid-way — publish once, and compact what
+//! replay added.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -46,19 +72,20 @@ use crate::replicate::{DeltaFeed, HealthGauges};
 /// rolled back — the serving window is unchanged and the sink must stay
 /// usable for the next delta.
 pub trait IngestSink: Send {
-    /// Applies `delta` end to end (journal, apply, publish, compact)
-    /// and returns the new published epoch.
+    /// Applies `delta` end to end (validate, close, journal, apply,
+    /// publish) and returns the new published epoch.
     fn ingest(&mut self, delta: &SnapshotDelta) -> Result<u64, String>;
 }
 
 /// What [`LiveWindow::recover`] found and did at startup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoverReport {
-    /// Journal records re-applied (the window had crashed, or stopped,
-    /// before compacting them).
+    /// Journal records re-applied: the open month's, and those of any
+    /// month the store lacks.
     pub replayed: usize,
     /// Journal records whose effect the committed window already
-    /// carried (compaction raced the crash) — skipped idempotently.
+    /// carried (a close stored their month before the crash) — skipped
+    /// idempotently.
     pub skipped: usize,
     /// Bytes of torn tail record the journal discarded (a crash mid-
     /// append; the record never acked, so discarding loses nothing).
@@ -78,9 +105,9 @@ pub struct LiveWindow<R: RibSource + Clone> {
     /// Serving gauges kept in sync with the journal's durability
     /// backlog, when a daemon reports them via `health`.
     gauges: Option<Arc<HealthGauges>>,
-    /// Outgoing tail months of appends whose compaction has not landed,
-    /// oldest first. The journal covers them until a compaction writes
-    /// them all (empty without a store).
+    /// Closed months whose store write failed, oldest first. The journal
+    /// covers them until a later close or compaction stores them all
+    /// and empties the queue (always empty without a store).
     unstored: Vec<Arc<DnsSnapshot>>,
 }
 
@@ -160,16 +187,20 @@ impl<R: RibSource + Clone> LiveWindow<R> {
         for delta in &replay.deltas {
             let tail = live.epoch.tail_date();
             // Skip records the committed window already carries: months
-            // before the tail, and appends *onto* the tail (compaction
-            // wrote them to the store before the crash).
+            // before the tail, and appends *onto* the tail (a close
+            // wrote the month to the store before the crash).
             if delta.to_date() < tail || (delta.to_date() == tail && delta.from_date() < tail) {
                 report.skipped += 1;
                 continue;
             }
-            // No compaction here: resetting the journal while later
-            // records still wait to replay would un-journal them before
-            // they are re-applied, losing acked deltas to a second
-            // crash. One compaction happens below, after everything.
+            // Close the tail before an append, as live ingest did, but
+            // keep the journal: resetting it while later records still
+            // wait to replay would un-journal them before they are
+            // re-applied, losing acked deltas to a second crash. One
+            // compaction happens below, after everything.
+            if delta.to_date() > tail {
+                live.close(false);
+            }
             let index = live.apply(delta).map_err(|e| {
                 format!(
                     "replaying journaled delta {}..{}: {e}",
@@ -186,11 +217,11 @@ impl<R: RibSource + Clone> LiveWindow<R> {
             // therefore epochs) when they were first accepted, and the
             // starting epoch above already accounts for them.
             live.published.republish(index);
-            // Everything replayed; fold the replayed months and the
-            // recovered tail (including trailing retargets) into the
-            // store, then the journal can start empty. No store: the
+            // Everything replayed; fold the months whose close failed
+            // and the recovered tail (including trailing retargets) into
+            // the store, then the journal can start empty. No store: the
             // journal stays — it IS the durability.
-            live.compact();
+            live.compact(true);
         }
         Ok((live, report))
     }
@@ -206,7 +237,9 @@ impl<R: RibSource + Clone> LiveWindow<R> {
         self.epoch.tail_date()
     }
 
-    /// Journal bytes currently awaiting compaction.
+    /// Journal bytes the store does not cover yet: with a store, the
+    /// open month's records (and those of any month a close failed to
+    /// store).
     pub fn journal_backlog(&self) -> u64 {
         self.journal.record_bytes()
     }
@@ -258,19 +291,14 @@ impl<R: RibSource + Clone> LiveWindow<R> {
         self.ingest(delta).map(Some)
     }
 
-    /// Applies one delta to the epoch state and, for an append with a
-    /// store, queues the outgoing month for compaction. Shared by live
-    /// ingest and recovery replay; does NOT journal (live ingest
-    /// journals first, replay reads the journal), publish or compact
-    /// (the callers differ on when).
+    /// Applies one delta to the epoch state. Shared by live ingest and
+    /// recovery replay; does NOT close, journal (live ingest journals
+    /// first, replay reads the journal) or publish (the callers differ
+    /// on when). It holds no second reference to the tail, so the
+    /// ingest patches the tail in place; only a month queued by a
+    /// failed close makes it copy.
     fn apply(&mut self, delta: &SnapshotDelta) -> Result<Arc<WindowQueryIndex>, String> {
-        // Only an append with a store takes the outgoing month: a clone
-        // held across the ingest makes its in-place tail patch copy the
-        // snapshot first.
-        let outgoing = (self.store.is_some() && delta.to_date() > self.epoch.tail_date())
-            .then(|| Arc::clone(self.epoch.tail_snapshot()));
-        let index = self
-            .epoch
+        self.epoch
             .ingest(delta, || {
                 // Failpoint: a crash (panic) or failure between the
                 // journal append and the index publication — the window
@@ -279,30 +307,49 @@ impl<R: RibSource + Clone> LiveWindow<R> {
                     .map(|_| ())
                     .map_err(|e| e.to_string())
             })
-            .map_err(|e| e.to_string())?;
-        self.unstored.extend(outgoing);
-        Ok(index)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Closes the tail month before an append onto it: stores it behind
+    /// every queued month, resetting the journal if `reset` (replay
+    /// passes `false`, as later records still wait in the journal). If
+    /// a write fails, the journal is kept and the tail joins the queue —
+    /// the one place a second reference to the tail is taken, so the
+    /// append's patch copies it only after a failure. No store: nothing
+    /// to do, the journal IS the durability.
+    fn close(&mut self, reset: bool) {
+        if self.store.is_some() && !self.compact(reset) {
+            self.unstored.push(Arc::clone(self.epoch.tail_snapshot()));
+        }
     }
 
     /// Writes every month the journal covers into the store — the
-    /// queued outgoing months, oldest first, then the tail — and resets
-    /// the journal once all of them landed. A failure is not an ingest
-    /// failure: the journal still holds the deltas, so durability is
-    /// intact, and the months stay queued for the next compaction. No
-    /// store: nothing to do, the journal IS the durability.
-    fn compact(&mut self) {
+    /// queued months, oldest first, then the tail — and, once all of
+    /// them landed, empties the queue and resets the journal if `reset`.
+    /// Returns whether they all landed (`false` without a store). A
+    /// failure is not an ingest failure: the journal still holds the
+    /// deltas, so durability is intact, and the queue stays for the
+    /// next close or compaction.
+    fn compact(&mut self, reset: bool) -> bool {
         let Some(store) = &self.store else {
-            return;
+            return false;
         };
         let written = self
             .unstored
             .iter()
             .chain([self.epoch.tail_snapshot()])
             .try_for_each(|month| store.write(&**month).map(|_| ()));
-        if written.is_ok() {
-            self.unstored.clear();
-            let _ = self.journal.reset();
+        if written.is_err() {
+            return false;
         }
+        self.unstored.clear();
+        if reset {
+            let _ = self.journal.reset();
+            // The append after a close may still fail; the gauges must
+            // not keep reading the records the reset dropped.
+            self.sync_gauges();
+        }
+        true
     }
 }
 
@@ -314,23 +361,23 @@ where
     fn ingest(&mut self, delta: &SnapshotDelta) -> Result<u64, String> {
         // Reject malformed deltas before anything durable happens — a
         // journaled record must always replay cleanly, so validation
-        // precedes the write-ahead append.
+        // precedes the close and the write-ahead append.
         self.epoch.validate(delta).map_err(|e| e.to_string())?;
         // Failpoint: a crash or failure after validation, before the
-        // journal append (the delta is simply lost, never half-durable).
+        // close and the journal append (the delta is simply lost, never
+        // half-durable).
         sibling_failpoint::io_point("ingest::apply").map_err(|e| e.to_string())?;
+        if delta.to_date() > self.epoch.tail_date() {
+            self.close(true);
+        }
         // Write-ahead: the delta is durable before it is applied.
         self.journal
             .append(delta)
             .map_err(|e| format!("ingest journal {}: {e}", self.journal.path().display()))?;
-        let appended = delta.to_date() > self.epoch.tail_date();
         let index = self.apply(delta)?;
         let epoch = self.published.swap(index);
         if let Some(feed) = &self.feed {
             feed.publish(epoch, delta);
-        }
-        if appended {
-            self.compact();
         }
         self.sync_gauges();
         Ok(epoch)
@@ -520,34 +567,100 @@ mod tests {
         let (epoch, index) = seeded(std::slice::from_ref(&s1));
         let store = SnapshotStore::open(&store_dir).unwrap();
         let (mut live, _) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+        let gauges = HealthGauges::primary();
+        live.attach_gauges(Arc::clone(&gauges));
 
-        // An append compacts: both tail months land in the store and
-        // the journal empties.
+        // An append closes month 1: it lands in the store and the
+        // journal resets before the append is journaled, so the journal
+        // holds exactly the open month's append and month 2 is not
+        // stored.
         live.ingest(&SnapshotDelta::diff(&s1, &s2)).unwrap();
         let store = SnapshotStore::open(&store_dir).unwrap();
-        assert!(store.contains(month(1)) && store.contains(month(2)));
-        assert_eq!(live.journal_backlog(), 0);
+        assert!(store.contains(month(1)) && !store.contains(month(2)));
+        assert_eq!(live.journal.record_count(), 1);
+        assert_eq!(gauges.journal_records(), 1);
 
-        // A retarget does not compact — it waits in the journal for the
-        // next append (or the next recovery).
+        // A retarget does not touch the store — it waits in the journal
+        // for the next append (or the next recovery).
         live.ingest(&SnapshotDelta::diff(&s2, &s2b)).unwrap();
-        assert!(live.journal_backlog() > 0);
+        assert_eq!(live.journal.record_count(), 2);
+        assert_eq!(gauges.journal_records(), 2);
 
-        // Recovery folds the waiting retarget into the stored tail
-        // month and starts with an empty journal. The offline window is
-        // seeded over the store's months — the compacted append is
-        // already there, so only the retarget replays.
+        // Recovery, seeded over the store's months, replays the open
+        // month's append and retarget, then stores month 2 and starts
+        // with an empty journal.
         drop(live);
-        let (epoch, index) = seeded(&[Arc::clone(&s1), Arc::clone(&s2)]);
+        let (epoch, index) = seeded(std::slice::from_ref(&s1));
         let store = SnapshotStore::open(&store_dir).unwrap();
         let (live, report) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
-        assert_eq!((report.replayed, report.skipped), (1, 0));
-        assert_eq!(live.journal_backlog(), 0);
+        assert_eq!((report.replayed, report.skipped), (2, 0));
+        assert_eq!(live.journal.record_count(), 0);
+        assert_eq!(live.published().epoch(), 3);
         let stored = SnapshotStore::open(&store_dir)
             .unwrap()
             .load(month(2))
             .unwrap();
         assert_eq!(DnsSnapshot::materialize(&*stored), *s2b);
+    }
+
+    #[test]
+    fn append_with_a_store_patches_the_tail_in_place() {
+        let dir = scratch("in-place");
+        let store = SnapshotStore::create(dir.join("store")).unwrap();
+        let (s1, s2, _) = fixture();
+        let (epoch, index) = seeded(std::slice::from_ref(&s1));
+        drop(s1);
+        let (mut live, _) =
+            LiveWindow::recover(epoch, index, &dir.join("ingest.sibjrnl"), Some(store)).unwrap();
+
+        // The close stores month 1 before the append, so nothing holds
+        // the tail when the append patches it into month 2.
+        let tail = Arc::as_ptr(live.epoch.tail_snapshot());
+        let append = SnapshotDelta::diff(live.epoch.tail_snapshot(), &s2);
+        live.ingest(&append).unwrap();
+        assert_eq!(live.tail_date(), month(2));
+        assert!(live.unstored.is_empty());
+        assert_eq!(
+            Arc::as_ptr(live.epoch.tail_snapshot()),
+            tail,
+            "the append copied the tail"
+        );
+    }
+
+    /// The first crash point of a close (module docs): month 2 is in the
+    /// store, but the journal still holds its records when the daemon
+    /// dies before the reset.
+    #[test]
+    fn crash_between_close_and_reset_replays_the_closed_month_as_no_ops() {
+        let dir = scratch("close-crash");
+        let journal = dir.join("ingest.sibjrnl");
+        let store_dir = dir.join("store");
+        let (s1, s2, s2b) = fixture();
+        let s3 = Arc::new(s2b.redated(month(3)));
+
+        let (epoch, index) = seeded(std::slice::from_ref(&s1));
+        let store = SnapshotStore::create(&store_dir).unwrap();
+        let (mut live, _) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+        live.ingest(&SnapshotDelta::diff(&s1, &s2)).unwrap();
+        live.ingest(&SnapshotDelta::diff(&s2, &s2b)).unwrap();
+        // The journal as the close before the next append finds it.
+        let before_reset = std::fs::read(&journal).unwrap();
+        live.ingest(&SnapshotDelta::diff(&s2b, &s3)).unwrap();
+        drop(live);
+        std::fs::write(&journal, before_reset).unwrap();
+
+        // The restart seeds through the stored months 1 and 2: the
+        // append of month 2 is skipped and its retarget re-applies as a
+        // no-op. The append of month 3 never acknowledged.
+        let store = SnapshotStore::open(&store_dir).unwrap();
+        let stored = Arc::new(DnsSnapshot::materialize(&*store.load(month(2)).unwrap()));
+        assert_eq!(*stored, *s2b);
+        let (epoch, index) = seeded(&[Arc::clone(&s1), stored]);
+        let (live, report) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+        assert_eq!((report.replayed, report.skipped), (1, 1));
+        assert_eq!(live.published().epoch(), 3);
+        let reference = Arc::new(WindowQueryIndex::build(&recompute(&[s1, s2b])).unwrap());
+        assert_eq!(rows(live.published().pin().index()), rows(&reference));
     }
 
     #[test]

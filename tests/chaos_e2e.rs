@@ -35,8 +35,8 @@ use sibling_executor::ThreadPool;
 use sibling_failpoint as failpoint;
 use sibling_net_types::MonthDate;
 use sibling_service::{
-    Client, Endpoint, IngestSink, LiveWindow, QueryPlanner, Response, RetryPolicy, ServeOptions,
-    Server,
+    Client, Endpoint, HealthGauges, IngestSink, LiveWindow, QueryPlanner, Response, RetryPolicy,
+    ServeOptions, Server,
 };
 use sibling_store::WorldStore;
 use sibling_worldgen::{World, WorldConfig};
@@ -338,9 +338,10 @@ fn crash_during_compaction_keeps_the_journal_as_the_durability() {
     let (epoch, index) = live_seed(&world, from, mid);
     let (mut live, _) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
 
-    // The append publishes (readers advance), then the compaction write
-    // into the snapshot store tears. Ingest still succeeds: the journal
-    // is not reset, so it stays the durability for the new month.
+    // The append's close writes the month it closes into the snapshot
+    // store, and that write tears. Ingest still succeeds: the journal is
+    // not reset, so it stays the durability for the closed month, and
+    // the append is journaled behind it and publishes.
     failpoint::configure("snapshot-store::write", "once*truncate(64)").unwrap();
     let epoch_now = live
         .ingest(&SnapshotDelta::diff(
@@ -353,11 +354,12 @@ fn crash_during_compaction_keeps_the_journal_as_the_durability() {
     assert_eq!(live.tail_date(), to);
     assert!(
         live.journal_backlog() > 0,
-        "failed compaction must not reset the journal"
+        "failed close must not reset the journal"
     );
 
-    // Restart: replay re-applies the month, recovery's own compaction
-    // retries the store write, and only then does the journal empty.
+    // Restart: replay closes the tail again before the append (this
+    // write lands), recovery's own compaction stores the new month, and
+    // only then does the journal empty.
     drop(live);
     let (epoch, index) = live_seed(&world, from, mid);
     let store = SnapshotStore::open(&store_dir).unwrap();
@@ -403,7 +405,8 @@ fn failed_compaction_keeps_its_months_until_a_later_compaction_stores_them() {
     let (epoch, index) = live_seed(&world, m[0], m[0]);
     let (mut live, _) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
 
-    // Append m1 (compacts), then retarget m1 with half of m1→m2's churn.
+    // Append m1 (its close stores m0 again), then retarget m1 with half
+    // of m1→m2's churn.
     live.ingest(&SnapshotDelta::diff(&snap(0), &snap(1)))
         .unwrap();
     let churn = SnapshotDelta::diff(&snap(1), &snap(2));
@@ -413,31 +416,32 @@ fn failed_compaction_keeps_its_months_until_a_later_compaction_stores_them() {
     let m1_retargeted = Arc::new(half.apply(&snap(1)));
     live.ingest(&half).unwrap();
 
-    // Append m2 while the store refuses the first write: the outgoing,
-    // retargeted m1 is not stored and the journal keeps its records.
+    // Append m2 while the store refuses the first write: the close
+    // fails, so the retargeted m1 is not stored and the journal keeps
+    // its records.
     failpoint::configure("snapshot-store::write", "once*return").unwrap();
     live.ingest(&SnapshotDelta::diff(&m1_retargeted, &snap(2)))
         .unwrap();
     failpoint::clear("snapshot-store::write");
-    assert!(
-        live.journal_backlog() > 0,
-        "failed compaction kept the journal"
-    );
+    assert!(live.journal_backlog() > 0, "failed close kept the journal");
 
-    // Append m3: this compaction must also store the retargeted m1
-    // before it may reset the journal.
-    live.ingest(&SnapshotDelta::diff(&snap(2), &snap(3)))
-        .unwrap();
-    assert_eq!(live.journal_backlog(), 0);
+    // Append m3: its close must also store the retargeted m1 before it
+    // may reset the journal. The journal then holds exactly the append
+    // of the open month m3, and the store every month before it.
+    let append_m3 = SnapshotDelta::diff(&snap(2), &snap(3));
+    live.ingest(&append_m3).unwrap();
     drop(live);
+    let (_, report) = IngestJournal::open(&journal).unwrap();
+    assert_eq!(report.deltas, vec![append_m3]);
     let store = SnapshotStore::open(&store_dir).unwrap();
+    assert!(store.contains(m[0]) && store.contains(m[2]) && !store.contains(m[3]));
     let stored_m1 = DnsSnapshot::materialize(&*store.load(m[1]).unwrap());
     assert!(stored_m1 == *m1_retargeted, "the retargets of m1 were lost");
 
     // Restart as `serve --ingest --store` does: seed the window from the
-    // store's months, then recover the journal. It serves exactly the
-    // acknowledged history.
-    let stored: Vec<Arc<DnsSnapshot>> = m
+    // store's months m0..m2, then recover the journal, which replays the
+    // append of m3. It serves exactly the acknowledged history.
+    let stored: Vec<Arc<DnsSnapshot>> = m[..3]
         .iter()
         .map(|&d| Arc::new(DnsSnapshot::materialize(&*store.load(d).unwrap())))
         .collect();
@@ -445,11 +449,88 @@ fn failed_compaction_keeps_its_months_until_a_later_compaction_stores_them() {
         EngineConfig::default(),
         world.rib_archive(),
         score_snaps(&world, &stored).results,
-        Arc::clone(&stored[3]),
+        Arc::clone(&stored[2]),
     )
     .unwrap();
-    let (live, _) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+    let (live, report) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+    assert_eq!((report.replayed, report.skipped), (1, 0));
     let acked = [snap(0), m1_retargeted, snap(2), snap(3)];
+    let batch = WindowQueryIndex::publish(&score_snaps(&world, &acked)).unwrap();
+    assert_eq!(stat_rows(live.published().pin().index()), stat_rows(&batch));
+}
+
+#[test]
+fn failed_journal_append_after_a_close_keeps_the_closed_month_stored() {
+    let _guard = chaos_guard();
+    let scratch = Scratch::new("close-then-append");
+    let journal = scratch.0.join("ingest.sibjrnl");
+    let store_dir = scratch.0.join("store");
+    let world = World::generate(WorldConfig::test_tiny(47));
+    let m: Vec<MonthDate> = (0..3).map(|k| world.config.end.add_months(k - 2)).collect();
+    let snap = |k: usize| Arc::new(world.snapshot(m[k]));
+
+    let store = SnapshotStore::create(&store_dir).unwrap();
+    let (epoch, index) = live_seed(&world, m[0], m[0]);
+    let (mut live, _) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+    let gauges = HealthGauges::primary();
+    live.attach_gauges(Arc::clone(&gauges));
+
+    // Append m1, then retarget it with half of m1→m2's churn.
+    live.ingest(&SnapshotDelta::diff(&snap(0), &snap(1)))
+        .unwrap();
+    let churn = SnapshotDelta::diff(&snap(1), &snap(2));
+    let half =
+        SnapshotDelta::from_changes(m[1], m[1], churn.changes()[..churn.churn() / 2].to_vec());
+    assert!(!half.is_empty());
+    let m1_retargeted = Arc::new(half.apply(&snap(1)));
+    assert_eq!(live.ingest(&half).unwrap(), 3);
+
+    // Append m2, and the journal append fails: the crash window between
+    // the close's reset and the journal append. The delta is refused
+    // with a typed journal error and the window does not move…
+    let append_m2 = SnapshotDelta::diff(&m1_retargeted, &snap(2));
+    failpoint::configure("journal::append", "once*return").unwrap();
+    let err = live.ingest(&append_m2).unwrap_err();
+    failpoint::clear("journal::append");
+    assert!(
+        err.starts_with("ingest journal") && err.contains("journal::append"),
+        "typed journal error: {err}"
+    );
+    assert_eq!(live.published().epoch(), 3);
+    assert_eq!(live.tail_date(), m[1]);
+    // …but the close already stored the retargeted m1 and emptied the
+    // journal.
+    let stored_m1 = SnapshotStore::open(&store_dir).unwrap().load(m[1]).unwrap();
+    assert!(
+        DnsSnapshot::materialize(&*stored_m1) == *m1_retargeted,
+        "the store lacks the retargets of m1"
+    );
+    assert_eq!(live.journal_backlog(), 0);
+    assert_eq!(gauges.journal_records(), 0, "stale health gauge");
+
+    // Re-sending the append succeeds at the next epoch.
+    assert_eq!(live.ingest(&append_m2).unwrap(), 4);
+    drop(live);
+
+    // Restart from the store plus the journal: the window seeds through
+    // the stored m0 and m1, and replay applies the append of m2.
+    let store = SnapshotStore::open(&store_dir).unwrap();
+    assert!(!store.contains(m[2]));
+    let stored: Vec<Arc<DnsSnapshot>> = m[..2]
+        .iter()
+        .map(|&d| Arc::new(DnsSnapshot::materialize(&*store.load(d).unwrap())))
+        .collect();
+    let (epoch, index) = EpochState::seed(
+        EngineConfig::default(),
+        world.rib_archive(),
+        score_snaps(&world, &stored).results,
+        Arc::clone(&stored[1]),
+    )
+    .unwrap();
+    let (live, report) = LiveWindow::recover(epoch, index, &journal, Some(store)).unwrap();
+    assert_eq!((report.replayed, report.skipped), (1, 0));
+    assert_eq!(live.published().epoch(), 4);
+    let acked = [snap(0), m1_retargeted, snap(2)];
     let batch = WindowQueryIndex::publish(&score_snaps(&world, &acked)).unwrap();
     assert_eq!(stat_rows(live.published().pin().index()), stat_rows(&batch));
 }
@@ -671,9 +752,7 @@ fn daemon_under_chaos_answers_bit_identically_and_drains() {
 #[test]
 #[cfg(unix)]
 fn primary_killed_mid_stream_follower_serves_pinned_epoch_then_catches_up() {
-    use sibling_service::{
-        follow, DeltaFeed, FollowerOptions, HealthGauges, Request, ServerHandle,
-    };
+    use sibling_service::{follow, DeltaFeed, FollowerOptions, Request, ServerHandle};
     use std::time::Instant;
 
     let _guard = chaos_guard();
