@@ -51,8 +51,7 @@ impl ReferenceOffsets {
 /// detection goes through one shared [`DetectEngine`]: every index interns
 /// its domain sets in the engine's arena (so recurring sets are stored
 /// once across all cached months) and every sibling set is produced by the
-/// sharded scorer (parallel when the `parallel` feature is enabled, with a
-/// bit-identical serial fallback).
+/// sharded scorer.
 pub struct AnalysisContext<W: WorldSource = World> {
     /// The synthetic Internet under analysis.
     pub world: W,
@@ -126,8 +125,7 @@ impl<W: WorldSource> AnalysisContext<W> {
     /// the default sibling sets of many dates through the shared
     /// engine's **incremental window** ([`DetectEngine::run_dates`])
     /// instead of per-date detection — consecutive dates are processed
-    /// as snapshot deltas with dirty-shard rescoring (and, with the
-    /// `parallel` feature, cross-month scheduling on the pool), so the
+    /// as snapshot deltas with dirty-shard rescoring, so the
     /// longitudinal experiments (Figs. 9–12) declare their whole window
     /// up front and pay churn-proportional cost for it. Output is
     /// bit-identical to the per-date path (the engine's property-tested

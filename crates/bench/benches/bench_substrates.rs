@@ -128,7 +128,7 @@ fn bench_scan(c: &mut Criterion) {
 /// * `engine_batch` is `DetectEngine::run_window`: shared state is built
 ///   once, then the window is walked in one pass — snapshots and indexes
 ///   per month, the interner/RIB archive/set arena reused throughout,
-///   scoring sharded (and parallel with the `parallel` feature).
+///   scoring sharded on the engine's pool (one thread by default).
 ///
 /// Also times the two scoring paths alone (`score/*`, identical indexes,
 /// identical outputs) to isolate the counting-join + sharding win from

@@ -127,15 +127,28 @@ impl Args {
         }
     }
 
-    /// `--mode incremental|full` → is the engine incremental?
-    fn incremental(&self) -> Result<bool, String> {
-        match self.get("mode").unwrap_or("incremental") {
-            "incremental" => Ok(true),
-            "full" => Ok(false),
-            other => Err(format!(
-                "unknown --mode {other:?} (valid values: incremental, full)"
-            )),
-        }
+    /// The engine of `batch` and `serve`: `--mode incremental|full` and
+    /// `--window-threads N`, the pool size (default 1, which runs every
+    /// task inline; 0 sizes the pool to the machine).
+    fn engine_config(&self) -> Result<EngineConfig, String> {
+        let incremental = match self.get("mode").unwrap_or("incremental") {
+            "incremental" => true,
+            "full" => false,
+            other => {
+                return Err(format!(
+                    "unknown --mode {other:?} (valid values: incremental, full)"
+                ))
+            }
+        };
+        let threads = self.get("window-threads").unwrap_or("1");
+        let threads = threads.parse().map_err(|_| {
+            format!("bad --window-threads {threads:?} (unsigned integer, 0 = machine size)")
+        })?;
+        Ok(EngineConfig {
+            incremental,
+            threads,
+            ..EngineConfig::default()
+        })
     }
 
     /// The shared `--from`/`--to` window, clamped to the world's range.
@@ -179,9 +192,11 @@ fn usage() -> &'static str {
      (mmap, zero-copy) instead of re-resolving zones; if the store also\n\
      holds a world file (world export), routing and organization tables\n\
      are mapped from it too and worldgen is skipped entirely. batch\n\
-     --window-threads sizes the cross-month scheduler's pool (default:\n\
-     machine). detection output is byte-identical across stores, modes\n\
-     and thread counts\n\
+     --window-threads sizes the cross-month scheduler's pool (default\n\
+     1, which runs every task inline; 0 sizes it to the machine).\n\
+     detection output is byte-identical across stores, modes and\n\
+     thread counts. under serve --ingest the flag sizes start-up\n\
+     scoring only: the live writer always runs on one thread\n\
      \n\
      serve scores the window once (same flags and fast paths as batch),\n\
      keeps it resident behind a lock-free query index, prints\n\
@@ -540,20 +555,8 @@ fn run_window_input(
 fn cmd_batch(args: &Args) -> Result<(), String> {
     let config = args.config()?;
     let (from, to) = args.window(&config)?;
-    let incremental = args.incremental()?;
-    // Pool size of the cross-month window scheduler; 0 (the default)
-    // sizes to the machine. Accepted but inert without the `parallel`
-    // feature — stdout is identical either way.
-    let window_threads: usize = args
-        .get("window-threads")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "bad --window-threads".to_string())?;
-    let mut engine = DetectEngine::new(EngineConfig {
-        incremental,
-        threads: window_threads,
-        ..EngineConfig::default()
-    });
+    let engine_config = args.engine_config()?;
+    let mut engine = DetectEngine::new(engine_config);
     let run = run_window_input(args, &mut engine, &config, from, to)?;
 
     println!("{}", MonthStats::batch_header());
@@ -641,11 +644,11 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         );
     }
     eprintln!(
-        "window: {} thread(s); patch chain {} µs total, settle {} µs summed across overlapping months",
-        if window_threads == 0 {
-            "auto".to_string()
-        } else {
-            window_threads.to_string()
+        "window: {}; patch chain {} µs total, settle {} µs summed across overlapping months",
+        match engine_config.threads {
+            0 => "machine-sized pool".to_string(),
+            1 => "1 thread (inline)".to_string(),
+            n => format!("{n} threads"),
         },
         patch_total / 1_000,
         settle_total / 1_000
@@ -722,16 +725,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let config = args.config()?;
     let (from, to) = args.window(&config)?;
-    let window_threads: usize = args
-        .get("window-threads")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "bad --window-threads".to_string())?;
-    let mut engine = DetectEngine::new(EngineConfig {
-        incremental: args.incremental()?,
-        threads: window_threads,
-        ..EngineConfig::default()
-    });
+    let mut engine = DetectEngine::new(args.engine_config()?);
     let score = Instant::now();
     let run = run_window_input(args, &mut engine, &config, from, to)?;
     let index = WindowQueryIndex::publish(&run).map_err(|e| e.to_string())?;
@@ -844,15 +838,9 @@ fn cmd_serve_live(
         };
         snaps.insert(date, snap);
     }
-    let engine_config = EngineConfig {
-        incremental: args.incremental()?,
-        threads: args
-            .get("window-threads")
-            .unwrap_or("0")
-            .parse()
-            .map_err(|_| "bad --window-threads".to_string())?,
-        ..EngineConfig::default()
-    };
+    // `--window-threads` sizes this start-up scoring only: the epoch
+    // writer runs every ingest on one thread.
+    let engine_config = args.engine_config()?;
     let score = Instant::now();
     let mut engine = DetectEngine::new(engine_config);
     let run = engine.run_window(from, to, &archive, |date| snaps[&date].clone())?;

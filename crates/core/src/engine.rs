@@ -33,14 +33,17 @@
 //!
 //! # The window scheduler
 //!
-//! With the `parallel` feature, **the whole window is the unit of
+//! Every engine owns a persistent pool
+//! ([`sibling_executor::ThreadPool`]) of [`EngineConfig::threads`]
+//! threads. On more than one thread **the whole window is the unit of
 //! parallelism**. Months form a dependency DAG: month *m*'s index patch
 //! depends on month *m−1*'s index (a cheap, churn-sized, strictly
 //! sequential chain the driver thread walks), but everything else —
 //! month-over-month snapshot diffs, dirty-shard rescoring, and per-month
-//! assembly — runs as fire-and-forget tasks on the persistent pool
-//! ([`sibling_executor::ThreadPool`]), so independent dirty shards of
-//! *different* months score concurrently:
+//! assembly — runs as fire-and-forget tasks on the pool, so independent
+//! dirty shards of *different* months score concurrently. A one-thread
+//! pool (the default) spawns no worker and runs every task inline at its
+//! spawn, in submission order: the serial walk.
 //!
 //! ```text
 //! driver:   load₀ seed₀ | patch₁ spawn₁ | patch₂ spawn₂ | … collect
@@ -72,13 +75,17 @@
 //! released by the patch chain while an in-flight view still holds it is
 //! parked and reclaimed once that month's scoring drains.
 //!
-//! Output is **bit-identical** to the serial incremental path and to the
-//! full-rebuild reference across thread counts, shard counts and churn
-//! rates — property-tested below. The key argument: a shard's outcome is
-//! a pure function of the month-*m* view it captured, the dirty rule
-//! over-approximates (rescoring a clean shard reproduces its cached
-//! outcome), and assembly consumes outcomes in shard order regardless of
-//! completion order.
+//! The live epoch writer ([`crate::EpochState`]) runs the same month
+//! step: each ingested delta is one more `advance_month` (or, on a
+//! routing-table change, `seed_window`) followed by `spawn_assemble`, on
+//! a one-thread engine.
+//!
+//! Output is **bit-identical** to the full-rebuild reference across
+//! thread counts, shard counts and churn rates — property-tested below.
+//! The key argument: a shard's outcome is a pure function of the
+//! month-*m* view it captured, the dirty rule over-approximates
+//! (rescoring a clean shard reproduces its cached outcome), and assembly
+//! consumes outcomes in shard order regardless of completion order.
 //!
 //! # Why clean shards may be reused
 //!
@@ -97,12 +104,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sibling_bgp::{RibArchive, RibSource};
 use sibling_dns::{DnsSnapshot, DomainId, SnapshotDelta, SnapshotSource};
 use sibling_executor::sync::Slot;
+use sibling_executor::{Scope, ThreadPool};
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix, MonthDate};
 
 use crate::arena::{FxHasher, SetArena, SetHandle};
@@ -120,9 +128,9 @@ pub struct EngineConfig {
     /// Number of candidate shards; `0` sizes automatically (a small
     /// multiple of the worker count, so stealing can balance skew).
     pub shards: usize,
-    /// Worker threads for the `parallel` feature (the pool size the
-    /// window scheduler and `detect` dispatch onto); `0` sizes to the
-    /// machine. Ignored (serial execution) without the feature.
+    /// Size of the engine's pool, which the window scheduler and
+    /// `detect` dispatch onto. `1` (the default) runs every task inline
+    /// on the calling thread; `0` sizes the pool to the machine.
     pub threads: usize,
     /// Whether batch windows run incrementally (snapshot deltas, index
     /// patching, dirty-shard rescoring). `false` rebuilds every month
@@ -137,7 +145,7 @@ impl Default for EngineConfig {
             metric: SimilarityMetric::Jaccard,
             policy: BestMatchPolicy::Union,
             shards: 0,
-            threads: 0,
+            threads: 1,
             incremental: true,
         }
     }
@@ -236,15 +244,20 @@ impl BatchRun {
 }
 
 /// The sharded, arena-backed detection engine (see module docs).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DetectEngine {
     config: EngineConfig,
     arena: SetArena,
-    /// Lazily-started persistent worker pool (sized by
-    /// [`EngineConfig::threads`]), reused by every `detect`/window call
-    /// of this engine and shut down gracefully when the engine drops.
-    #[cfg(feature = "parallel")]
-    pool: std::sync::OnceLock<Arc<sibling_executor::ThreadPool>>,
+    /// Persistent pool sized by [`EngineConfig::threads`], reused by
+    /// every `detect`/window call of this engine and shut down
+    /// gracefully when the engine drops.
+    pool: ThreadPool,
+}
+
+impl Default for DetectEngine {
+    fn default() -> Self {
+        Self::new(EngineConfig::default())
+    }
 }
 
 /// What one shard reports back: its pair run (already in `(v4, v6)`
@@ -355,15 +368,13 @@ impl CandidateIndex {
 }
 
 /// Carried state of an incremental window walk, generic over the
-/// snapshot handle `H` — an `Arc<DnsSnapshot>` for regenerated worlds,
-/// an `Arc<sibling_dns::SnapshotFile>` for zero-copy store-backed runs,
-/// or just the month for the live writer (which keeps the snapshot
-/// itself) — and the routing-table handle `R` (any [`RibSource`];
-/// `Arc<Rib>` for regenerated worlds, a store-backed mmap table
-/// otherwise).
-pub(crate) struct WindowState<H, R> {
-    /// The snapshot the index currently reflects.
-    snapshot: H,
+/// routing-table handle `R` (any [`RibSource`]; `Arc<Rib>` for
+/// regenerated worlds, a store-backed mmap table otherwise). It keeps no
+/// snapshot: the batch driver diffs its prefetched handles, and the live
+/// writer owns its tail.
+pub(crate) struct WindowState<R> {
+    /// The month of the snapshot the index currently reflects.
+    date: MonthDate,
     /// The table the index was built against; [`RibSource::same_table`]
     /// identity gates whether deltas may be applied.
     rib: R,
@@ -377,13 +388,14 @@ pub(crate) struct WindowState<H, R> {
     members: Vec<Vec<Ipv4Prefix>>,
     /// Latest outcome slot per shard — filled by the most recent rescore
     /// (possibly months ago for clean shards). A month's assembly waits
-    /// on its snapshot of these.
-    slots: Vec<OutcomeSlot>,
+    /// on its snapshot of these: one `Arc` bump, and the next rescore
+    /// copies the list only while that assembly is still pending.
+    slots: Arc<Vec<OutcomeSlot>>,
     /// Structural shard↔candidate index (see [`CandidateIndex`]).
     candidates: CandidateIndex,
 }
 
-impl<H, R> WindowState<H, R> {
+impl<R> WindowState<R> {
     /// Re-aligns one shard's member list with the index after a patch
     /// (the prefix may have gained its first domain or lost its last).
     fn sync_member(&mut self, p4: Ipv4Prefix) {
@@ -402,148 +414,13 @@ impl<H, R> WindowState<H, R> {
     }
 }
 
-/// The live epoch writer's serial window. The writer owns its tail
-/// snapshot and patches it in place, so the carried handle here is only
-/// the tail's date: holding the snapshot itself would be a second
-/// reference that makes every in-place patch copy it.
-impl<R: RibSource> WindowState<MonthDate, R> {
-    /// The routing table the carried index was built against (the live
-    /// epoch writer gates delta application on
-    /// [`RibSource::same_table`] identity, exactly like the batch
-    /// driver).
-    pub(crate) fn rib(&self) -> &R {
-        &self.rib
-    }
-
-    /// Serial, inline window (re)seed — the live epoch writer's
-    /// counterpart of the pooled seed: full index build, full scoring
-    /// and candidate seeding, all on the calling thread. `workers` is
-    /// pinned to 1 so the automatic shard count is deterministic for a
-    /// given group count; the result is bit-identical across shard
-    /// counts anyway (the engine's assembly contract), so the live path
-    /// and the pooled batch path agree exactly.
-    pub(crate) fn seed_serial(
-        snapshot: &DnsSnapshot,
-        rib: R,
-        config: &EngineConfig,
-        arena: &SetArena,
-        superseded: Option<Self>,
-    ) -> Self {
-        let index = GroupIndex::build(snapshot, &rib, arena);
-        if let Some(old) = superseded {
-            // As in the pooled seed: release the superseded index only
-            // *after* the new one is interned, so recurring sets dedup
-            // onto the live slots instead of recycling.
-            old.index.release_sets(arena);
-        }
-        let shard_count = window_shard_count(config, 1, index.group_counts().0);
-        let mut members: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); shard_count];
-        for (p4, _) in index.group_sets::<u32>() {
-            // Group iteration ascends, so each member list stays sorted.
-            members[shard_of(p4, shard_count)].push(*p4);
-        }
-        let candidates = CandidateIndex::seed(&index, shard_count);
-        let placeholder: OutcomeSlot = Arc::new(Slot::ready(Arc::new(ShardOutcome::default())));
-        let mut state = Self {
-            snapshot: snapshot.date(),
-            rib,
-            index,
-            shard_count,
-            members,
-            slots: vec![placeholder; shard_count],
-            candidates,
-        };
-        state.rescore_serial(0..shard_count, config.metric);
-        state
-    }
-
-    /// Serial incremental ingest step — the live epoch writer's
-    /// counterpart of the batch driver's month advance, with every
-    /// dirty shard rescored inline on the calling thread. Mirrors the
-    /// batch path's exact order (index patch → dirty marking against
-    /// *last* month's candidate index → candidate/member maintenance →
-    /// rescore), so the resulting outcomes are bit-identical to a batch
-    /// recompute over the same snapshots. Returns the number of shards
-    /// rescored.
-    pub(crate) fn apply_delta(
-        &mut self,
-        delta: &SnapshotDelta,
-        arena: &SetArena,
-        metric: SimilarityMetric,
-    ) -> usize {
-        debug_assert_eq!(delta.from_date(), self.snapshot, "delta base");
-        let report = self.index.apply_delta(delta, &self.rib, arena);
-        let shard_count = self.shard_count;
-        let mut dirty = vec![false; shard_count];
-        for p4 in &report.touched_v4 {
-            dirty[shard_of(p4, shard_count)] = true;
-        }
-        for p6 in &report.touched_v6 {
-            // The candidate index still reflects last month here —
-            // exactly the shards whose cached outcomes mention p6 (see
-            // the batch driver's month advance for the full argument).
-            for shard in self.candidates.shards_of(p6) {
-                dirty[shard] = true;
-            }
-        }
-        self.candidates.apply_moves(&report.moves, shard_count);
-        for p4 in &report.touched_v4 {
-            self.sync_member(*p4);
-        }
-        let dirty: Vec<usize> = dirty
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, dirty)| dirty.then_some(shard))
-            .collect();
-        let rescored = dirty.len();
-        self.rescore_serial(dirty, metric);
-        self.snapshot = delta.to_date();
-        rescored
-    }
-
-    /// Inline rescore of `shards`, replacing their outcome slots with
-    /// ready slots. The captured [`ScoreView`] drops before returning,
-    /// so the next patch's copy-on-write never actually copies.
-    fn rescore_serial<I>(&mut self, shards: I, metric: SimilarityMetric)
-    where
-        I: IntoIterator<Item = usize>,
-    {
-        let view = ScoreView::capture(&self.index);
-        for shard in shards {
-            let outcome = if self.members[shard].is_empty() {
-                ShardOutcome::default()
-            } else {
-                let groups: Vec<(Ipv4Prefix, SetHandle)> = self.members[shard]
-                    .iter()
-                    .map(|p4| {
-                        (
-                            *p4,
-                            self.index.set_of(p4).expect("member is grouped").clone(),
-                        )
-                    })
-                    .collect();
-                score_shard(&view, metric, &groups)
-            };
-            self.slots[shard] = Arc::new(Slot::ready(Arc::new(outcome)));
-        }
-    }
-
-    /// Reduces the current per-shard outcomes into the tail month's
-    /// sibling set (every slot is ready on the serial path, so `wait`
-    /// is a plain read).
-    pub(crate) fn assemble_set(&self, policy: BestMatchPolicy) -> SiblingSet {
-        let outcomes: Vec<Arc<ShardOutcome>> = self.slots.iter().map(|slot| slot.wait()).collect();
-        assemble(outcomes.iter().map(|o| &**o), policy)
-    }
-}
-
 /// A shard's outcome slot: filled by the most recent rescore, shared by
 /// every month that depends on it.
 type OutcomeSlot = Arc<Slot<Arc<ShardOutcome>>>;
 
 /// One month's collected output (filled by its assembly task).
-struct MonthOutput {
-    set: SiblingSet,
+pub(crate) struct MonthOutput {
+    pub(crate) set: SiblingSet,
     settle_ns: u64,
 }
 
@@ -593,27 +470,23 @@ where
     SiblingSet::from_pairs(pairs.into_iter().filter(policy_filter).collect())
 }
 
-/// Task dispatcher of the window scheduler: fire-and-forget closures
-/// that fill a [`Slot`]. With the `parallel` feature the closure runs as
-/// a detached scoped job on the persistent pool (panics poison the slot,
-/// re-raised at its first consumer); without it — or on a one-thread
-/// pool, where the executor runs detached jobs inline — execution is
-/// immediate and in submission order, which is exactly the serial walk.
-#[cfg(feature = "parallel")]
-struct Dispatch<'s, 'env: 's> {
-    scope: &'s sibling_executor::Scope<'env>,
+/// Everything the window scheduler's month steps share: the engine
+/// knobs, the shared arena and the pool scope its tasks run in. A task
+/// is a fire-and-forget closure that fills a [`Slot`]: a detached scoped
+/// job on the pool (panics poison the slot, re-raised at its first
+/// consumer). A one-thread pool runs it inline at its spawn, so
+/// execution is immediate and in submission order: the serial walk.
+pub(crate) struct WindowCtx<'s, 'env> {
+    config: EngineConfig,
+    workers: usize,
+    arena: &'env SetArena,
+    scope: &'s Scope<'env>,
 }
 
-#[cfg(not(feature = "parallel"))]
-struct Dispatch<'s, 'env: 's> {
-    _marker: std::marker::PhantomData<(&'s (), &'env ())>,
-}
-
-impl<'env> Dispatch<'_, 'env> {
+impl<'env> WindowCtx<'_, 'env> {
     /// Fires a raw detached closure; `urgent` jumps the pool queue (see
-    /// [`sibling_executor::Scope::spawn_detached_urgent`] — the caller
-    /// must guarantee the job waits on nothing enqueued before it).
-    #[cfg(feature = "parallel")]
+    /// [`Scope::spawn_detached_urgent`] — the caller must guarantee the
+    /// job waits on nothing enqueued before it).
     fn exec<F>(&self, urgent: bool, f: F)
     where
         F: FnOnce() + Send + 'env,
@@ -623,15 +496,6 @@ impl<'env> Dispatch<'_, 'env> {
         } else {
             self.scope.spawn_detached(f);
         }
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn exec<F>(&self, urgent: bool, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        let _ = urgent;
-        f();
     }
 
     /// Fires a closure whose value lands in `slot` (poisoned on panic,
@@ -649,32 +513,53 @@ impl<'env> Dispatch<'_, 'env> {
             }
         });
     }
-}
 
-/// Everything the window scheduler's month steps share: the engine
-/// knobs, the shared arena and the task dispatcher.
-struct WindowCtx<'a, 's, 'env: 's> {
-    config: EngineConfig,
-    workers: usize,
-    arena: &'env SetArena,
-    dispatch: &'a Dispatch<'s, 'env>,
-}
-
-impl<'env> WindowCtx<'_, '_, 'env> {
-    /// (Re)seeds the window at `date`: full index build, full scoring of
-    /// every shard (as per-shard tasks), fresh candidate index.
-    fn seed_window<H, R>(
+    /// One incremental month: [`WindowCtx::advance_month`] by `delta`
+    /// when the month's table is the one `state` was built against, and
+    /// [`WindowCtx::seed_window`] from `snapshot` otherwise — the first
+    /// month, or a routing-table change, which invalidates every
+    /// domain→prefix mapping. `delta` may be `None` only in the latter
+    /// case. The batch driver and the live writer both step through
+    /// here.
+    pub(crate) fn step<S, R>(
         &self,
+        state: &mut Option<WindowState<R>>,
         date: MonthDate,
-        snapshot: H,
+        snapshot: &S,
         rib: R,
-        superseded: Option<WindowState<H, R>>,
-    ) -> (WindowState<H, R>, MonthChurn)
+        delta: Option<&SnapshotDelta>,
+    ) -> MonthChurn
     where
-        H: SnapshotSource + Clone + Send + 'static,
+        S: SnapshotSource + ?Sized,
         R: RibSource,
     {
-        let index = GroupIndex::build(&snapshot, &rib, self.arena);
+        match state {
+            Some(prev) if prev.rib.same_table(&rib) => {
+                let delta = delta.expect("a month on an unchanged table has its delta");
+                self.advance_month(prev, date, delta)
+            }
+            _ => {
+                let (seeded, churn) = self.seed_window(date, snapshot, rib, state.take());
+                *state = Some(seeded);
+                churn
+            }
+        }
+    }
+
+    /// (Re)seeds the window at `date`: full index build, full scoring of
+    /// every shard (as per-shard tasks), fresh candidate index.
+    pub(crate) fn seed_window<S, R>(
+        &self,
+        date: MonthDate,
+        snapshot: &S,
+        rib: R,
+        superseded: Option<WindowState<R>>,
+    ) -> (WindowState<R>, MonthChurn)
+    where
+        S: SnapshotSource + ?Sized,
+        R: RibSource,
+    {
+        let index = GroupIndex::build(snapshot, &rib, self.arena);
         if let Some(old) = superseded {
             // Release the superseded index only *after* the new one is
             // interned: recurring sets dedup onto the live slots (so
@@ -703,12 +588,12 @@ impl<'env> WindowCtx<'_, '_, 'env> {
             full_rebuild: true,
         };
         let state = WindowState {
-            snapshot,
+            date: snapshot.snapshot_date(),
             rib,
             index,
             shard_count,
             members,
-            slots,
+            slots: Arc::new(slots),
             candidates,
         };
         (state, churn)
@@ -717,23 +602,14 @@ impl<'env> WindowCtx<'_, '_, 'env> {
     /// The incremental month: apply the snapshot delta to the carried
     /// index, mark the shards it touched dirty, and spawn rescoring
     /// tasks for those — the clean remainder keeps its filled slots.
-    fn advance_month<H, R>(
+    fn advance_month<R: RibSource>(
         &self,
-        state: &mut WindowState<H, R>,
+        state: &mut WindowState<R>,
         date: MonthDate,
-        snapshot: H,
-        delta: SnapshotDelta,
-    ) -> MonthChurn
-    where
-        H: SnapshotSource + Clone + Send + 'static,
-        R: RibSource,
-    {
-        debug_assert_eq!(
-            delta.from_date(),
-            state.snapshot.snapshot_date(),
-            "delta base"
-        );
-        let report = state.index.apply_delta(&delta, &state.rib, self.arena);
+        delta: &SnapshotDelta,
+    ) -> MonthChurn {
+        debug_assert_eq!(delta.from_date(), state.date, "delta base");
+        let report = state.index.apply_delta(delta, &state.rib, self.arena);
 
         let shard_count = state.shard_count;
         let mut dirty = vec![false; shard_count];
@@ -760,14 +636,14 @@ impl<'env> WindowCtx<'_, '_, 'env> {
             self.spawn_score_bundles(
                 &state.index,
                 &state.members,
-                &mut state.slots,
+                Arc::make_mut(&mut state.slots).as_mut_slice(),
                 dirty
                     .iter()
                     .enumerate()
                     .filter_map(|(shard, dirty)| dirty.then_some(shard)),
             );
         }
-        state.snapshot = snapshot;
+        state.date = delta.to_date();
         MonthChurn {
             date,
             added: delta.added_count(),
@@ -791,7 +667,11 @@ impl<'env> WindowCtx<'_, '_, 'env> {
     /// jumping is sound here because a bundle waits on nothing.
     ///
     /// Shards with no members complete immediately via one shared ready
-    /// slot; a shard whose scoring panics poisons its own slot.
+    /// slot; a shard whose scoring panics poisons its own slot. A
+    /// replaced slot, and the outcome it holds, is dropped only once its
+    /// successor is scored: freeing every dirty shard's old outcome
+    /// before scoring any lets the allocator return the heap top to the
+    /// system, and the scores then fault it back in.
     fn spawn_score_bundles<I>(
         &self,
         index: &GroupIndex,
@@ -802,7 +682,7 @@ impl<'env> WindowCtx<'_, '_, 'env> {
         I: IntoIterator<Item = usize>,
     {
         let empty: OutcomeSlot = Arc::new(Slot::ready(Arc::new(ShardOutcome::default())));
-        let mut work: Vec<(OutcomeSlot, Vec<(Ipv4Prefix, SetHandle)>)> = Vec::new();
+        let mut work = Vec::new();
         for shard in dirty {
             if members[shard].is_empty() {
                 slots[shard] = Arc::clone(&empty);
@@ -813,8 +693,8 @@ impl<'env> WindowCtx<'_, '_, 'env> {
                 .map(|p4| (*p4, index.set_of(p4).expect("member is grouped").clone()))
                 .collect();
             let slot = Arc::new(Slot::new());
-            slots[shard] = Arc::clone(&slot);
-            work.push((slot, groups));
+            let replaced = std::mem::replace(&mut slots[shard], Arc::clone(&slot));
+            work.push((slot, groups, replaced));
         }
         if work.is_empty() {
             return;
@@ -826,8 +706,8 @@ impl<'env> WindowCtx<'_, '_, 'env> {
             let rest = work.split_off(chunk.min(work.len()));
             let bundle = std::mem::replace(&mut work, rest);
             let view = view.clone();
-            self.dispatch.exec(true, move || {
-                for (slot, groups) in bundle {
+            self.exec(true, move || {
+                for (slot, groups, replaced) in bundle {
                     let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         Arc::new(score_shard(&view, metric, &groups))
                     }));
@@ -835,6 +715,7 @@ impl<'env> WindowCtx<'_, '_, 'env> {
                         Ok(outcome) => slot.set(outcome),
                         Err(payload) => slot.poison(payload),
                     }
+                    drop(replaced);
                 }
             });
         }
@@ -843,12 +724,12 @@ impl<'env> WindowCtx<'_, '_, 'env> {
     /// Spawns the month's assembly task: waits for the per-shard slots
     /// the month depends on (in shard order) and reduces them into the
     /// month's sibling set.
-    fn spawn_assemble<H, R>(&self, state: &WindowState<H, R>) -> Arc<Slot<MonthOutput>> {
-        let deps = state.slots.clone();
+    pub(crate) fn spawn_assemble<R>(&self, state: &WindowState<R>) -> Arc<Slot<MonthOutput>> {
+        let deps = Arc::clone(&state.slots);
         let policy = self.config.policy;
         let slot = Arc::new(Slot::new());
         let spawned = Instant::now();
-        self.dispatch.run(&slot, move || {
+        self.run(&slot, move || {
             let outcomes: Vec<Arc<ShardOutcome>> = deps.iter().map(|slot| slot.wait()).collect();
             let set = assemble(outcomes.iter().map(|o| &**o), policy);
             MonthOutput {
@@ -872,7 +753,7 @@ impl<'env> WindowCtx<'_, '_, 'env> {
         let arena = self.arena;
         let slot = Arc::new(Slot::new());
         let spawned = Instant::now();
-        self.dispatch.run(&slot, move || {
+        self.run(&slot, move || {
             let index = GroupIndex::build(&snapshot, &rib, arena);
             let set = detect_standalone(&index, &config, workers);
             MonthOutput {
@@ -971,11 +852,13 @@ impl OneShotLayout {
 }
 
 impl DetectEngine {
-    /// An engine with the given configuration and an empty arena.
+    /// An engine with the given configuration, an empty arena and a pool
+    /// of [`EngineConfig::threads`] threads.
     pub fn new(config: EngineConfig) -> Self {
         Self {
             config,
-            ..Self::default()
+            arena: SetArena::default(),
+            pool: ThreadPool::with_threads(config.threads),
         }
     }
 
@@ -1015,13 +898,15 @@ impl DetectEngine {
     /// scoring, then a best-match reduction. Output is bit-identical to
     /// [`crate::detect`] with the same metric and policy.
     pub fn detect(&self, index: &GroupIndex) -> SiblingSet {
-        let Some(layout) = OneShotLayout::of(index, &self.config, self.workers()) else {
+        let Some(layout) = OneShotLayout::of(index, &self.config, self.pool.threads()) else {
             return SiblingSet::default();
         };
         let shards: Vec<&[(Ipv4Prefix, SetHandle)]> = layout.shards().collect();
         let metric = self.config.metric;
         let view = &layout.view;
-        let outcomes = self.execute(&shards, |shard| score_shard(view, metric, shard));
+        let outcomes = self
+            .pool
+            .map(&shards, |_, shard| score_shard(view, metric, shard));
         assemble(outcomes.iter(), self.config.policy)
     }
 
@@ -1031,8 +916,8 @@ impl DetectEngine {
     /// index interned in the shared arena. With
     /// [`EngineConfig::incremental`] (the default) consecutive months are
     /// processed as snapshot deltas with dirty-shard rescoring, so the
-    /// walk's cost scales with churn — and with the `parallel` feature
-    /// the months themselves overlap on the pool (see module docs).
+    /// walk's cost scales with churn — and on a pool of more than one
+    /// thread the months themselves overlap (see module docs).
     ///
     /// The provider returns any owning, cheaply-cloneable
     /// [`SnapshotSource`] handle: `Arc<DnsSnapshot>` for regenerated
@@ -1050,7 +935,7 @@ impl DetectEngine {
     where
         H: SnapshotSource + Clone + Send + 'static,
         R: RibSource + Clone + Send + Sync + 'static,
-        S: FnMut(MonthDate) -> H + Send,
+        S: FnMut(MonthDate) -> H,
     {
         if from > to {
             return Err(format!("empty window: {from} is after {to}"));
@@ -1071,28 +956,10 @@ impl DetectEngine {
     where
         H: SnapshotSource + Clone + Send + 'static,
         R: RibSource + Clone + Send + Sync + 'static,
-        S: FnMut(MonthDate) -> H + Send,
+        S: FnMut(MonthDate) -> H,
     {
-        // The provider sits behind a mutex so the signature stays
-        // uniform; only the driver thread calls it (sequentially), so
-        // the lock is uncontended.
-        let snapshot_of = Mutex::new(&mut snapshot_of);
         let recycled_before = self.arena.recycled_count();
-        #[cfg(feature = "parallel")]
-        let result = {
-            let pool = Arc::clone(self.pool());
-            pool.scope(|scope| {
-                let dispatch = Dispatch { scope };
-                self.run_dates_inner(dates, archive, &snapshot_of, &dispatch)
-            })
-        };
-        #[cfg(not(feature = "parallel"))]
-        let result = {
-            let dispatch = Dispatch {
-                _marker: std::marker::PhantomData,
-            };
-            self.run_dates_inner(dates, archive, &snapshot_of, &dispatch)
-        };
+        let result = self.in_window(|ctx| ctx.drive(dates, archive, &mut snapshot_of));
         // The last month's index stays alive through the sweep below:
         // which of its sets sit parked in the graveyard depends on
         // scheduling, so dropping it first would let the sweep recycle a
@@ -1118,30 +985,38 @@ impl DetectEngine {
         Ok(run)
     }
 
+    /// Opens one scope on the engine's pool and runs `f` with the window
+    /// scheduler's context over it. Every task `f` spawns has finished
+    /// when this returns.
+    pub(crate) fn in_window<T>(&self, f: impl FnOnce(&WindowCtx<'_, '_>) -> T) -> T {
+        self.pool.scope(|scope| {
+            f(&WindowCtx {
+                config: self.config,
+                workers: self.pool.threads(),
+                arena: &self.arena,
+                scope,
+            })
+        })
+    }
+}
+
+impl WindowCtx<'_, '_> {
     /// The window scheduler's driver loop (see module docs): walk the
     /// months, keep the patch chain sequential, fan everything else out
-    /// through the dispatcher, then collect per-month results in order.
-    /// Also hands back the incremental window state of the last month.
-    fn run_dates_inner<'env, H, R, S>(
-        &'env self,
+    /// as pool tasks, then collect per-month results in order. Also
+    /// hands back the incremental window state of the last month.
+    fn drive<H, R, S>(
+        &self,
         dates: &[MonthDate],
         archive: &RibArchive<R>,
-        snapshot_of: &Mutex<&mut S>,
-        dispatch: &Dispatch<'_, 'env>,
-    ) -> Result<(BatchRun, Option<WindowState<H, R>>), String>
+        snapshot_of: &mut S,
+    ) -> Result<(BatchRun, Option<WindowState<R>>), String>
     where
         H: SnapshotSource + Clone + Send + 'static,
         R: RibSource + Clone + Send + Sync + 'static,
-        S: FnMut(MonthDate) -> H + Send,
+        S: FnMut(MonthDate) -> H,
     {
-        let config = self.config;
-        let arena = &self.arena;
-        let ctx = WindowCtx {
-            config,
-            workers: self.workers(),
-            arena,
-            dispatch,
-        };
+        let incremental = self.config.incremental;
         let n = dates.len();
 
         // Fail fast: resolve every month's RIB up front (handle clones).
@@ -1158,25 +1033,26 @@ impl DetectEngine {
         // contract is sequential) a few months ahead; each consecutive
         // pair's delta derives as its own pool task, so diffs of several
         // future months overlap the current month's patch and scores.
-        let lookahead = ctx.workers.max(1) + 1;
+        // A month on a new table reseeds instead, so it gets no diff.
+        let lookahead = self.workers.max(1) + 1;
         let mut snaps: Vec<Option<H>> = (0..n).map(|_| None).collect();
         let mut diffs: Vec<Option<Arc<Slot<SnapshotDelta>>>> = (0..n).map(|_| None).collect();
         let mut loaded = 0usize;
 
-        let mut state: Option<WindowState<H, R>> = None;
+        let mut state: Option<WindowState<R>> = None;
         let mut month_slots: Vec<Arc<Slot<MonthOutput>>> = Vec::with_capacity(n);
         let mut churns: Vec<MonthChurn> = Vec::with_capacity(n);
         let mut patch_ns: Vec<u64> = Vec::with_capacity(n);
 
         for i in 0..n {
             while loaded < n && loaded <= i + lookahead {
-                let handle = (snapshot_of.lock().unwrap())(dates[loaded]);
-                if config.incremental && loaded > 0 {
+                let handle = snapshot_of(dates[loaded]);
+                if incremental && loaded > 0 && ribs[loaded - 1].same_table(&ribs[loaded]) {
                     let prev = snaps[loaded - 1].clone().expect("loaded in order");
                     let next = handle.clone();
                     let slot = Arc::new(Slot::new());
                     diffs[loaded] = Some(Arc::clone(&slot));
-                    dispatch.run(&slot, move || SnapshotDelta::diff_sources(&prev, &next));
+                    self.run(&slot, move || SnapshotDelta::diff_sources(&prev, &next));
                 }
                 snaps[loaded] = Some(handle);
                 loaded += 1;
@@ -1185,11 +1061,11 @@ impl DetectEngine {
             let rib = ribs[i].clone();
             let started = Instant::now();
 
-            let churn = if !config.incremental {
+            let churn = if !incremental {
                 // The reference per-date pipeline: fresh index, full
                 // scoring — dispatched whole, so full-mode months
                 // parallelize across the window.
-                month_slots.push(ctx.spawn_full_month(snapshot, rib));
+                month_slots.push(self.spawn_full_month(snapshot, rib));
                 MonthChurn {
                     date: dates[i],
                     added: 0,
@@ -1201,30 +1077,15 @@ impl DetectEngine {
                     full_rebuild: true,
                 }
             } else {
-                let churn = match state.as_mut() {
-                    Some(prev) if prev.rib.same_table(&rib) => {
-                        let delta = match diffs[i].take() {
-                            Some(slot) => slot.take(),
-                            None => SnapshotDelta::diff_sources(&prev.snapshot, &snapshot),
-                        };
-                        ctx.advance_month(prev, dates[i], snapshot, delta)
-                    }
-                    // A different RIB invalidates every domain→prefix
-                    // mapping: rebuild, re-seeding the window state.
-                    _ => {
-                        let superseded = state.take();
-                        let (seeded, churn) = ctx.seed_window(dates[i], snapshot, rib, superseded);
-                        state = Some(seeded);
-                        churn
-                    }
-                };
-                month_slots.push(ctx.spawn_assemble(state.as_ref().expect("state seeded")));
+                let delta = diffs[i].take().map(|slot| slot.take());
+                let churn = self.step(&mut state, dates[i], &snapshot, rib, delta.as_ref());
+                month_slots.push(self.spawn_assemble(state.as_ref().expect("state seeded")));
                 churn
             };
             patch_ns.push(started.elapsed().as_nanos() as u64);
             churns.push(churn);
             // Reclaim sets whose deferred releases have since unpinned.
-            arena.sweep();
+            self.arena.sweep();
         }
 
         // Collect in input order (blocking on stragglers), then account.
@@ -1246,47 +1107,6 @@ impl DetectEngine {
         // once the pool scope has drained — a straggling bundle may
         // still pin sets for an instant after its last `Slot::set`.
         Ok((run, state))
-    }
-
-    #[cfg(feature = "parallel")]
-    fn pool(&self) -> &Arc<sibling_executor::ThreadPool> {
-        self.pool.get_or_init(|| {
-            Arc::new(sibling_executor::ThreadPool::with_threads(
-                self.config.threads,
-            ))
-        })
-    }
-
-    #[cfg(feature = "parallel")]
-    fn workers(&self) -> usize {
-        self.pool().threads()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn workers(&self) -> usize {
-        1
-    }
-
-    /// Runs `f` over every item on the persistent pool (serially without
-    /// the feature). Output order always equals item order.
-    #[cfg(feature = "parallel")]
-    fn execute<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(&T) -> O + Sync,
-    {
-        self.pool().map(items, |_, item| f(item))
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn execute<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(&T) -> O + Sync,
-    {
-        items.iter().map(f).collect()
     }
 }
 
@@ -1704,7 +1524,7 @@ mod tests {
 
     /// Property test: the sharded engine (any shard count) agrees with
     /// the serial reference `detect` across random worlds, metrics and
-    /// policies — the bit-identity contract of the `parallel` feature.
+    /// policies, on a multi-thread pool.
     #[test]
     fn prop_engine_bit_identical_to_serial() {
         use proptest::prelude::*;

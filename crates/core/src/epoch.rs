@@ -10,8 +10,8 @@
 //! ```text
 //!            ┌────────────── EpochState (writer-private) ──────────────┐
 //!  delta ──▶ │ validate → patch tail snapshot in place (undo log) →    │
-//!            │ WindowState::apply_delta → rescore dirty shards →       │
-//!            │ assemble tail set → WindowQueryIndex::with_tail         │
+//!            │ advance_month (reseed on a new table) → rescore dirty   │
+//!            │ shards → spawn_assemble → WindowQueryIndex::with_tail   │
 //!            └───────────────┬─────────────────────────────────────────┘
 //!                            │ Arc<WindowQueryIndex>  (one per epoch;
 //!                            ▼  all months but the tail shared)
@@ -20,14 +20,15 @@
 //!
 //! [`EpochState`] carries the incremental engine's window state (the
 //! patched [`crate::GroupIndex`], per-shard cached outcomes and
-//! the structural candidate index) **serially**: every ingest patches
-//! the index in place, rescores exactly the dirty shards inline, and
-//! derives the next query index from the committed one — the tail month
-//! is replaced or one month appended, every other month shared. The
-//! tail snapshot is patched in place too, never copied, so an ingest
-//! costs what changed, not the window's length. Because the serial path
-//! mirrors the batch driver's order exactly and the engine's assembly is
-//! shard-count-independent, the published index after any ingest
+//! the structural candidate index) on a one-thread
+//! [`crate::DetectEngine`]: each ingest is one more month of the batch
+//! driver's step — index patch, dirty-shard rescoring and assembly, all
+//! inline on the writer thread — and derives the next query index from
+//! the committed one: the tail month is replaced or one month appended,
+//! every other month shared. The tail snapshot is patched in place too,
+//! never copied, so an ingest costs what changed, not the window's
+//! length. Because it is the batch step itself and the engine's assembly
+//! is shard-count-independent, the published index after any ingest
 //! sequence is **bit-identical** to a batch recompute over the same
 //! snapshots (property-tested at the facade).
 //!
@@ -38,9 +39,9 @@
 //! unchecked `old` fields), the retained results are restored and the
 //! window state is reseeded from the committed tail snapshot (the
 //! possibly half-patched index's sets drain through the arena graveyard
-//! and [`SetArena::sweep`]). Readers can never observe a torn generation
-//! because the only reader-visible action is the `Arc` swap the caller
-//! performs *after* a successful ingest.
+//! and [`crate::SetArena::sweep`]). Readers can never observe a torn
+//! generation because the only reader-visible action is the `Arc` swap
+//! the caller performs *after* a successful ingest.
 
 use std::fmt;
 use std::sync::Arc;
@@ -49,8 +50,7 @@ use sibling_bgp::{RibArchive, RibSource};
 use sibling_dns::{DnsSnapshot, SnapshotDelta, SnapshotUndo};
 use sibling_net_types::MonthDate;
 
-use crate::arena::SetArena;
-use crate::engine::{EngineConfig, WindowState};
+use crate::engine::{DetectEngine, EngineConfig, WindowState};
 use crate::pipeline::SiblingSet;
 use crate::query::{QueryIndexError, WindowQueryIndex};
 
@@ -132,17 +132,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The writer-private generation of a live window (module docs).
 ///
 /// `R` is the routing-table handle of the backing [`RibArchive`] —
-/// `Arc<Rib>` for generated worlds. The state owns its own
-/// [`SetArena`]; retired generations' sets drain through its graveyard
-/// exactly as in the batch engine.
+/// `Arc<Rib>` for generated worlds. The state owns a one-thread engine;
+/// retired generations' sets drain through its arena's graveyard
+/// exactly as in a batch run.
 pub struct EpochState<R: RibSource + Clone> {
-    config: EngineConfig,
-    arena: SetArena,
+    engine: DetectEngine,
     archive: RibArchive<R>,
     /// Carried incremental state — `Some` between operations; taken
     /// only momentarily during reseeds. Boxed indirection is avoided on
     /// purpose: the state is large but moved rarely.
-    state: Option<WindowState<MonthDate, R>>,
+    state: Option<WindowState<R>>,
     /// The committed tail snapshot (what the published generation's
     /// last month reflects). Ingest patches it in place; rollback
     /// reverts the patch and reseeds from here.
@@ -170,7 +169,8 @@ impl<R: RibSource + Clone> EpochState<R> {
     /// (typically a [`crate::BatchRun`]'s, or recovered state), `tail`
     /// the snapshot of the last month. Returns the state together with
     /// the first generation's index (epoch 1 once the caller publishes
-    /// it).
+    /// it). The writer runs `config` on one thread, whatever its
+    /// [`EngineConfig::threads`].
     pub fn seed(
         config: EngineConfig,
         archive: RibArchive<R>,
@@ -191,20 +191,19 @@ impl<R: RibSource + Clone> EpochState<R> {
         let rib = archive
             .at_or_before(tail.date())
             .ok_or(IngestError::MissingRib(tail.date()))?;
-        let arena = SetArena::default();
-        let state = WindowState::seed_serial(&tail, rib, &config, &arena, None);
-        Ok((
-            Self {
-                config,
-                arena,
-                archive,
-                state: Some(state),
-                tail,
-                results,
-                index: Arc::clone(&index),
-            },
-            index,
-        ))
+        let mut this = Self {
+            engine: DetectEngine::new(EngineConfig {
+                threads: 1,
+                ..config
+            }),
+            archive,
+            state: None,
+            tail,
+            results,
+            index: Arc::clone(&index),
+        };
+        this.reseed(rib);
+        Ok((this, index))
     }
 
     /// The committed tail month.
@@ -295,27 +294,21 @@ impl<R: RibSource + Clone> EpochState<R> {
 
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
             || -> Result<Arc<WindowQueryIndex>, IngestError> {
-                let state = self.state.as_mut().expect("state seeded");
-                if state.rib().same_table(&rib) {
-                    state.apply_delta(delta, &self.arena, self.config.metric);
-                } else {
-                    // A different RIB invalidates every domain→prefix
-                    // mapping: reseed the whole window state at the new
-                    // month, exactly like the batch driver.
-                    let superseded = self.state.take();
-                    self.state = Some(WindowState::seed_serial(
-                        &self.tail,
+                // One month of the batch driver's step: advance by the
+                // delta, or reseed at the new month when its table
+                // differs, then assemble the tail's set.
+                let set = self.engine.in_window(|ctx| {
+                    ctx.step(
+                        &mut self.state,
+                        delta.to_date(),
+                        &*self.tail,
                         rib,
-                        &self.config,
-                        &self.arena,
-                        superseded,
-                    ));
-                }
-                let set = self
-                    .state
-                    .as_ref()
-                    .expect("state seeded")
-                    .assemble_set(self.config.policy);
+                        Some(delta),
+                    );
+                    ctx.spawn_assemble(self.state.as_ref().expect("state seeded"))
+                        .take()
+                        .set
+                });
                 let index = Arc::new(self.index.with_tail(delta.to_date(), set.clone())?);
                 if append {
                     self.results.push((delta.to_date(), set));
@@ -329,7 +322,7 @@ impl<R: RibSource + Clone> EpochState<R> {
         match attempt {
             Ok(Ok(index)) => {
                 self.index = Arc::clone(&index);
-                self.arena.sweep();
+                self.engine.arena().sweep();
                 Ok(index)
             }
             Ok(Err(err)) => {
@@ -362,15 +355,18 @@ impl<R: RibSource + Clone> EpochState<R> {
             .archive
             .at_or_before(self.tail.date())
             .expect("rib resolved at seed time");
+        self.reseed(rib);
+        self.engine.arena().sweep();
+    }
+
+    /// (Re)seeds the window state from the committed tail snapshot
+    /// against `rib`, retiring the superseded state's sets.
+    fn reseed(&mut self, rib: R) {
         let superseded = self.state.take();
-        self.state = Some(WindowState::seed_serial(
-            &self.tail,
-            rib,
-            &self.config,
-            &self.arena,
-            superseded,
-        ));
-        self.arena.sweep();
+        let (state, _) = self
+            .engine
+            .in_window(|ctx| ctx.seed_window(self.tail.date(), &*self.tail, rib, superseded));
+        self.state = Some(state);
     }
 }
 
@@ -416,12 +412,19 @@ mod tests {
     /// Batch-recomputes the window over `snaps` with a fresh engine —
     /// the reference every published generation must equal bitwise.
     fn recompute(snaps: &[Arc<DnsSnapshot>]) -> Vec<(MonthDate, SiblingSet)> {
+        recompute_over(&archive(), snaps)
+    }
+
+    fn recompute_over(
+        archive: &RibArchive,
+        snaps: &[Arc<DnsSnapshot>],
+    ) -> Vec<(MonthDate, SiblingSet)> {
         let mut engine = DetectEngine::default();
         let dates: Vec<MonthDate> = snaps.iter().map(|s| s.date()).collect();
         let by_date: std::collections::BTreeMap<MonthDate, Arc<DnsSnapshot>> =
             snaps.iter().map(|s| (s.date(), Arc::clone(s))).collect();
         engine
-            .run_window(dates[0], *dates.last().unwrap(), &archive(), |d| {
+            .run_window(dates[0], *dates.last().unwrap(), archive, |d| {
                 Arc::clone(&by_date[&d])
             })
             .unwrap()
@@ -492,6 +495,71 @@ mod tests {
         let index = epoch.ingest(&delta, || Ok(())).unwrap();
         assert_eq!(index.months(), &[month(1), month(2)]);
         assert_eq!(epoch.tail_date(), month(2));
+        assert_results_equal(epoch.results(), &recompute(&[s1, s2b]));
+    }
+
+    #[test]
+    fn routing_table_change_reseeds_and_matches_batch_recompute() {
+        // Month 2's table announces a more-specific of 203.0.0.0/16, so
+        // domain 1 leaves the v4 group it shared with domain 2. Patching
+        // the month-1 index would keep it there: only a reseed is right.
+        let mut archive = archive();
+        let mut split = rib();
+        split.announce("203.0.1.0/24".parse::<Ipv4Prefix>().unwrap(), Asn(1));
+        archive.insert(month(2), split);
+        let recompute = |snaps: &[Arc<DnsSnapshot>]| recompute_over(&archive, snaps);
+
+        let s1 = snap(
+            month(1),
+            &[
+                (1, "203.0.1.1", "2600:1::1"),
+                (2, "203.0.2.2", "2600:1::2"),
+                (3, "198.51.1.3", "2600:2::3"),
+            ],
+        );
+        let (mut epoch, _) = EpochState::seed(
+            EngineConfig::default(),
+            archive.clone(),
+            recompute(&[Arc::clone(&s1)]),
+            Arc::clone(&s1),
+        )
+        .unwrap();
+
+        // Append month 2 on the new table: the writer reseeds.
+        let s2 = snap(
+            month(2),
+            &[
+                (1, "203.0.1.1", "2600:1::1"),
+                (2, "203.0.2.2", "2600:1::2"),
+                (3, "198.51.1.3", "2600:2::3"),
+                (4, "198.51.1.4", "2600:2::4"),
+            ],
+        );
+        epoch
+            .ingest(&SnapshotDelta::diff(&s1, &s2), || Ok(()))
+            .unwrap();
+        let want = recompute(&[Arc::clone(&s1), Arc::clone(&s2)]);
+        let more_specific = "203.0.1.0/24".parse::<Ipv4Prefix>().unwrap();
+        assert!(
+            want[1].1.iter().any(|p| p.v4 == more_specific),
+            "the table change moves domain 1's v4 group"
+        );
+        assert_results_equal(epoch.results(), &want);
+
+        // Retarget month 2 on that same table: an incremental step.
+        // Domain 2 joins domain 1 in 203.0.1.0/24.
+        let s2b = snap(
+            month(2),
+            &[
+                (1, "203.0.1.1", "2600:1::1"),
+                (2, "203.0.1.2", "2600:1::2"),
+                (3, "198.51.1.3", "2600:2::3"),
+                (4, "198.51.1.4", "2600:2::4"),
+            ],
+        );
+        epoch
+            .ingest(&SnapshotDelta::diff(&s2, &s2b), || Ok(()))
+            .unwrap();
         assert_results_equal(epoch.results(), &recompute(&[s1, s2b]));
     }
 

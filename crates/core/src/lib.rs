@@ -21,9 +21,9 @@
 //! On top of detection sit:
 //!
 //! * [`engine`] — the sharded [`DetectEngine`]: hash-consed domain sets
-//!   ([`arena`]), per-shard scoring with optional work-stealing
-//!   parallelism (feature `parallel`, bit-identical serial fallback),
-//!   and the longitudinal batch driver ([`DetectEngine::run_window`]);
+//!   ([`arena`]), per-shard scoring on a work-stealing pool whose size
+//!   never changes the output (one thread runs inline), and the
+//!   longitudinal batch driver ([`DetectEngine::run_window`]);
 //! * [`tuner`] — the SP-Tuner algorithm in both variants: more-specific
 //!   (Algorithm 1, the headline 52% → 82% perfect-match improvement) and
 //!   less-specific (Algorithm 2, the negative result of Appendix A.1);

@@ -17,7 +17,7 @@
 use std::any::Any;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A contention-counting reader/writer lock (see module docs).
 ///
@@ -77,11 +77,21 @@ enum SlotState<T> {
     Poisoned(Option<Box<dyn Any + Send>>),
 }
 
+/// A [`Slot`]'s state and the consumers blocked on it, under one lock.
+struct SlotInner<T> {
+    state: SlotState<T>,
+    /// Consumers parked on [`Slot`]'s condvar. A producer wakes them only
+    /// when there are some: `notify_all` costs a syscall even with nobody
+    /// waiting, and most slots fill before anyone asks (all of them on a
+    /// one-thread pool, which runs every task at its spawn).
+    parked: usize,
+}
+
 /// A one-shot result cell: one producer [`Slot::set`]s (or
 /// [`Slot::poison`]s), any number of consumers block on the value (see
 /// module docs).
 pub struct Slot<T> {
-    state: Mutex<SlotState<T>>,
+    inner: Mutex<SlotInner<T>>,
     ready: Condvar,
 }
 
@@ -100,16 +110,17 @@ impl<T> std::fmt::Debug for Slot<T> {
 impl<T> Slot<T> {
     /// An empty slot awaiting its producer.
     pub fn new() -> Self {
-        Self {
-            state: Mutex::new(SlotState::Empty),
-            ready: Condvar::new(),
-        }
+        Self::with_state(SlotState::Empty)
     }
 
     /// A slot that is already filled (the inline-execution fast path).
     pub fn ready(value: T) -> Self {
+        Self::with_state(SlotState::Ready(value))
+    }
+
+    fn with_state(state: SlotState<T>) -> Self {
         Self {
-            state: Mutex::new(SlotState::Ready(value)),
+            inner: Mutex::new(SlotInner { state, parked: 0 }),
             ready: Condvar::new(),
         }
     }
@@ -117,27 +128,36 @@ impl<T> Slot<T> {
     /// Publishes the value, waking every waiter. Panics if the slot was
     /// already set, poisoned or taken — slots are strictly one-shot.
     pub fn set(&self, value: T) {
-        let mut state = self.state.lock().unwrap();
-        assert!(
-            matches!(*state, SlotState::Empty),
-            "slot filled more than once"
-        );
-        *state = SlotState::Ready(value);
-        drop(state);
-        self.ready.notify_all();
+        self.fill(SlotState::Ready(value));
     }
 
     /// Marks the producer as panicked; the payload re-raises at the
     /// first waiter (later waiters raise a generic panic).
     pub fn poison(&self, payload: Box<dyn Any + Send>) {
-        let mut state = self.state.lock().unwrap();
+        self.fill(SlotState::Poisoned(Some(payload)));
+    }
+
+    fn fill(&self, state: SlotState<T>) {
+        let mut inner = self.inner.lock().unwrap();
         assert!(
-            matches!(*state, SlotState::Empty),
+            matches!(inner.state, SlotState::Empty),
             "slot filled more than once"
         );
-        *state = SlotState::Poisoned(Some(payload));
-        drop(state);
-        self.ready.notify_all();
+        inner.state = state;
+        let wake = inner.parked > 0;
+        drop(inner);
+        if wake {
+            self.ready.notify_all();
+        }
+    }
+
+    /// Blocks until a producer wakes this consumer, counted as parked
+    /// meanwhile (spurious wake-ups return too; callers re-check).
+    fn park<'a>(&self, mut inner: MutexGuard<'a, SlotInner<T>>) -> MutexGuard<'a, SlotInner<T>> {
+        inner.parked += 1;
+        let mut inner = self.ready.wait(inner).unwrap();
+        inner.parked -= 1;
+        inner
     }
 
     /// Blocks until the value is published and clones it out — the
@@ -147,16 +167,16 @@ impl<T> Slot<T> {
     where
         T: Clone,
     {
-        let mut state = self.state.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap();
         loop {
-            match &mut *state {
+            match &mut inner.state {
                 SlotState::Ready(value) => return value.clone(),
                 SlotState::Taken => panic!("slot value already taken"),
                 SlotState::Poisoned(payload) => match payload.take() {
                     Some(payload) => resume_unwind(payload),
                     None => panic!("slot producer panicked"),
                 },
-                SlotState::Empty => state = self.ready.wait(state).unwrap(),
+                SlotState::Empty => inner = self.park(inner),
             }
         }
     }
@@ -164,26 +184,28 @@ impl<T> Slot<T> {
     /// Blocks until the value is published and moves it out — the
     /// single-consumer read. Panics on a second take.
     pub fn take(&self) -> T {
-        let mut state = self.state.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap();
         loop {
-            match &mut *state {
-                SlotState::Ready(_) => match std::mem::replace(&mut *state, SlotState::Taken) {
-                    SlotState::Ready(value) => return value,
-                    _ => unreachable!(),
-                },
+            match &mut inner.state {
+                SlotState::Ready(_) => {
+                    match std::mem::replace(&mut inner.state, SlotState::Taken) {
+                        SlotState::Ready(value) => return value,
+                        _ => unreachable!(),
+                    }
+                }
                 SlotState::Taken => panic!("slot value already taken"),
                 SlotState::Poisoned(payload) => match payload.take() {
                     Some(payload) => resume_unwind(payload),
                     None => panic!("slot producer panicked"),
                 },
-                SlotState::Empty => state = self.ready.wait(state).unwrap(),
+                SlotState::Empty => inner = self.park(inner),
             }
         }
     }
 
     /// Non-blocking probe: whether a value (or poison) has landed.
     pub fn is_done(&self) -> bool {
-        !matches!(*self.state.lock().unwrap(), SlotState::Empty)
+        !matches!(self.inner.lock().unwrap().state, SlotState::Empty)
     }
 }
 
@@ -243,6 +265,22 @@ mod tests {
         };
         assert_eq!(slot.wait(), 42);
         producer.join().unwrap();
+    }
+
+    #[test]
+    fn slot_wakes_a_parked_waiter() {
+        let slot = Arc::new(Slot::new());
+        let consumer = {
+            let slot = slot.clone();
+            std::thread::spawn(move || slot.take())
+        };
+        // Fill only once the consumer is parked, so the wake-up path runs.
+        while slot.inner.lock().unwrap().parked == 0 {
+            std::thread::yield_now();
+        }
+        slot.set(5u8);
+        assert_eq!(consumer.join().unwrap(), 5);
+        assert_eq!(slot.inner.lock().unwrap().parked, 0);
     }
 
     #[test]

@@ -430,7 +430,15 @@ mod tests {
     }
 
     fn recompute(snaps: &[Arc<DnsSnapshot>]) -> Vec<(MonthDate, SiblingSet)> {
-        let mut engine = DetectEngine::default();
+        recompute_on(1, snaps)
+    }
+
+    /// [`recompute`] on an engine pool of `threads` threads.
+    fn recompute_on(threads: usize, snaps: &[Arc<DnsSnapshot>]) -> Vec<(MonthDate, SiblingSet)> {
+        let mut engine = DetectEngine::new(EngineConfig {
+            threads,
+            ..EngineConfig::default()
+        });
         let dates: Vec<MonthDate> = snaps.iter().map(|s| s.date()).collect();
         let by_date: std::collections::BTreeMap<MonthDate, Arc<DnsSnapshot>> =
             snaps.iter().map(|s| (s.date(), Arc::clone(s))).collect();
@@ -806,8 +814,11 @@ mod tests {
         let mut case = 0u32;
         let mut runner = TestRunner::default();
         runner
-            .run(&vec(0u8..3, 1..10), |ops| {
+            .run(&(vec(0u8..3, 1..10), 0usize..3), |(ops, pick)| {
                 case += 1;
+                // The recompute's pool size: the writer's one thread must
+                // agree with every batch schedule.
+                let threads = [1, 2, 4][pick];
                 let journal = dir.join(format!("case-{case}.sibjrnl"));
                 // Truth the live window must track: the materialized
                 // snapshots of every month applied so far.
@@ -846,13 +857,14 @@ mod tests {
                         // over exactly the pinned months.
                         _ => {
                             let pin = live.published().pin();
-                            let batch = WindowQueryIndex::build(&recompute(&snaps)).unwrap();
+                            let batch =
+                                WindowQueryIndex::build(&recompute_on(threads, &snaps)).unwrap();
                             assert_eq!(pin.epoch(), expected_epoch);
                             assert_eq!(
                                 rows(pin.index()),
                                 rows(&batch),
                                 "pinned epoch {} diverged from batch recompute (tail {}, \
-                                 retargeted {retargeted})",
+                                 retargeted {retargeted}, {threads} thread(s))",
                                 pin.epoch(),
                                 month(tail_k)
                             );

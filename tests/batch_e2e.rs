@@ -1,7 +1,8 @@
 //! End-to-end contract of the batch driver: `DetectEngine::run_window`
 //! over a multi-month synthetic window produces, per date, exactly the
-//! same `SiblingSet` as independent per-date `detect` invocations — with
-//! and without the `parallel` feature (CI runs both configurations).
+//! same `SiblingSet` as independent per-date `detect` invocations. The
+//! engine runs on a two-thread pool, so the check covers the pooled
+//! window scheduler.
 
 use std::sync::Arc;
 
@@ -17,7 +18,10 @@ fn batch_window_matches_per_date_detection() {
     let from = to.add_months(-3);
     let archive = world.rib_archive();
 
-    let mut engine = DetectEngine::new(EngineConfig::default());
+    let mut engine = DetectEngine::new(EngineConfig {
+        threads: 2,
+        ..EngineConfig::default()
+    });
     let run = engine
         .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
         .expect("window covered by the world's archive");

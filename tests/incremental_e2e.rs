@@ -2,8 +2,8 @@
 //! synthetic world's organic churn, `run_window` with snapshot deltas,
 //! in-place index patching and dirty-shard rescoring produces exactly
 //! the same per-month `SiblingSet`s as the full-rebuild path and as
-//! independent per-date `detect` invocations — with and without the
-//! `parallel` feature (CI runs both configurations).
+//! independent per-date `detect` invocations. The incremental run is on
+//! a two-thread pool, the full rebuild inline.
 
 use std::sync::Arc;
 
@@ -19,7 +19,10 @@ fn incremental_window_matches_full_rebuild_and_per_date() {
     let from = to.add_months(-4);
     let archive = world.rib_archive();
 
-    let mut incremental = DetectEngine::new(EngineConfig::default());
+    let mut incremental = DetectEngine::new(EngineConfig {
+        threads: 2,
+        ..EngineConfig::default()
+    });
     let inc = incremental
         .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
         .expect("window covered by the world's archive");

@@ -2,12 +2,12 @@
 //! scored window answers every query family across a **real socket**
 //! bit-identically to an independent batch recompute of the same window,
 //! and malformed request lines produce typed errors without dropping the
-//! connection. Runs with and without the `parallel` feature (CI runs
-//! both configurations).
+//! connection. The served window is scored on a two-thread pool, the
+//! reference inline.
 
 use std::sync::Arc;
 
-use sibling_core::{DetectEngine, SiblingPair, SiblingSet, WindowQueryIndex};
+use sibling_core::{DetectEngine, EngineConfig, SiblingPair, SiblingSet, WindowQueryIndex};
 use sibling_executor::ThreadPool;
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix, MonthDate};
 use sibling_service::{Client, Endpoint, QueryPlanner, Response, Server};
@@ -83,7 +83,10 @@ fn served_answers_are_bit_identical_to_batch_recompute() {
     // The serving side: score, publish, bind, start two readers.
     let run = {
         let archive = world.rib_archive();
-        let mut engine = DetectEngine::default();
+        let mut engine = DetectEngine::new(EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        });
         engine
             .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
             .expect("window covered by the world's archive")
@@ -259,7 +262,7 @@ fn malformed_lines_keep_the_connection_alive() {
 
 #[test]
 fn live_daemon_ingest_epoch_and_health_over_the_wire() {
-    use sibling_core::{EngineConfig, EpochState};
+    use sibling_core::EpochState;
     use sibling_dns::SnapshotDelta;
     use sibling_service::{LiveWindow, Request, ServeOptions};
 
@@ -350,7 +353,7 @@ fn live_daemon_ingest_epoch_and_health_over_the_wire() {
 
 #[test]
 fn follower_tails_the_primary_and_serves_identical_answers() {
-    use sibling_core::{EngineConfig, EpochState};
+    use sibling_core::EpochState;
     use sibling_dns::SnapshotDelta;
     use sibling_service::{
         follow, DeltaFeed, FollowerOptions, HealthGauges, LiveWindow, Request, ServeOptions,

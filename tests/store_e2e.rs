@@ -1,8 +1,8 @@
 //! End-to-end contract of the zero-copy snapshot store: a world window
 //! exported to disk and mapped back as `SnapshotFile` handles drives the
 //! batch engine to **bit-identical** sibling sets versus regenerating
-//! every snapshot in process — incremental and full-rebuild modes, with
-//! and without the `parallel` feature (CI runs both configurations).
+//! every snapshot in process — incremental and full-rebuild modes, the
+//! store-backed run on a two-thread pool and the regenerated one inline.
 //! Also pins the zero-copy index-build and diff paths against their
 //! owned-snapshot references over worldgen-scale data.
 
@@ -60,7 +60,10 @@ fn store_backed_window_is_bit_identical_to_regeneration() {
             incremental,
             ..EngineConfig::default()
         };
-        let mut from_store = DetectEngine::new(config);
+        let mut from_store = DetectEngine::new(EngineConfig {
+            threads: 2,
+            ..config
+        });
         let stored = from_store
             .run_window(from, to, &archive, |date| store.load(date).unwrap())
             .unwrap();

@@ -4,8 +4,7 @@
 //! `threads` setting, in both engine modes, against regenerated and
 //! store-backed (mmap) snapshots — and the delta-native `PairLedger`
 //! must report the same month-over-month categories as the stateless
-//! `compare`. CI runs both feature configurations; without `parallel`
-//! the thread knob is inert and every run takes the serial path.
+//! `compare`. One thread runs every task inline; more run a real pool.
 
 use std::sync::Arc;
 
