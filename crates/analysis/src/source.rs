@@ -8,7 +8,7 @@
 //! the `SIBWORLD` world file) without a single `World::generate` call.
 //! The handle types mirror the engine's own abstractions — snapshots are
 //! any [`SnapshotSource`], routing tables any
-//! [`RibSource`](sibling_bgp::RibSource) — so the detection pipeline under
+//! [`RibSource`] — so the detection pipeline under
 //! the context is identical (and bit-identical in output) over either.
 
 use std::path::Path;

@@ -11,7 +11,6 @@ use sibling_core::{
     detect, BestMatchPolicy, DetectEngine, EngineConfig, PrefixDomainIndex, SimilarityMetric,
 };
 use sibling_dns::{LoadMode, SnapshotDelta, SnapshotFile, SnapshotStore};
-use sibling_executor::{scoped_map, ThreadPool};
 use sibling_net_types::Ipv4Prefix;
 use sibling_ptrie::PatriciaTrie;
 use sibling_scan::{ScanConfig, Scanner};
@@ -453,33 +452,6 @@ fn bench_store_world(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dispatch cost of the two executor designs on small jobs: the
-/// persistent pool (workers parked on a condvar, fed through a queue)
-/// versus the previous per-call `std::thread::scope` spawning. The work
-/// per item is tiny on purpose — the benchmark isolates what it costs to
-/// *start* a parallel map, which is what the engine pays once per month
-/// per window.
-fn bench_pool_dispatch(c: &mut Criterion) {
-    let items: Vec<u64> = (0..256).collect();
-    let work = |_: usize, x: &u64| -> u64 {
-        let mut acc = *x;
-        for i in 0..32u64 {
-            acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7) ^ i;
-        }
-        acc
-    };
-    let threads = 4;
-    let pool = ThreadPool::with_threads(threads);
-    let mut group = c.benchmark_group("pool_dispatch");
-    group.bench_function("persistent", |b| {
-        b.iter(|| black_box(pool.map(&items, work)))
-    });
-    group.bench_function("scoped_spawn", |b| {
-        b.iter(|| black_box(scoped_map(threads, &items, work)))
-    });
-    group.finish();
-}
-
 /// World generation itself (the dataset substitute).
 fn bench_worldgen(c: &mut Criterion) {
     c.bench_function("worldgen_small", |b| {
@@ -496,6 +468,6 @@ criterion_group!(
     config = Criterion::default().sample_size(10);
     targets = bench_trie, bench_rib_lookup, bench_rov, bench_scan, bench_batch_window,
     bench_incremental_window, bench_window_parallel, bench_store_load, bench_store_world,
-    bench_pool_dispatch, bench_worldgen
+    bench_worldgen
 );
 criterion_main!(benches);

@@ -37,7 +37,6 @@ use sibling_core::query::{MonthStats, WindowQueryIndex};
 use sibling_core::tuner::more_specific::tune_more_specific;
 use sibling_core::{BatchRun, DetectEngine, EngineConfig, EpochState, SpTunerConfig};
 use sibling_dns::{DnsSnapshot, LoadMode, SnapshotDelta, SnapshotFile, SnapshotStore, StoreError};
-use sibling_executor::ThreadPool;
 use sibling_net_types::MonthDate;
 use sibling_service::{
     Client, DeltaFeed, Endpoint, FailoverClient, FollowerOptions, HealthGauges, LiveWindow,
@@ -595,16 +594,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     eprintln!("\nchurn     +dom  -dom  ~dom  (eff)   shards rescored");
     for churn in &run.churn {
         if churn.full_rebuild {
-            let shards = if churn.total_shards == 0 {
-                // The non-incremental per-date pipeline does not shard by
-                // window; its chunking is internal to each detect call.
-                "per-date pipeline".to_string()
-            } else {
-                format!("{} shards", churn.total_shards)
-            };
             eprintln!(
-                "{}  {:>5} {:>5} {:>5} {:>6}   full rebuild ({shards})",
-                churn.date, "-", "-", "-", "-"
+                "{}  {:>5} {:>5} {:>5} {:>6}   full rebuild ({} shards)",
+                churn.date, "-", "-", "-", "-", churn.total_shards
             );
         } else {
             eprintln!(
@@ -743,7 +735,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let handle = server
-        .start_with(planner, ThreadPool::with_threads(1), readers, options)
+        .start_with(planner, readers, options)
         .map_err(|e| format!("starting readers: {e}"))?;
     run_daemon(handle, readers, serve_ms)
 }
@@ -881,7 +873,7 @@ fn cmd_serve_live(
         let _follower = sibling_service::follow(live, upstream, gauges, FollowerOptions::default())
             .map_err(|e| format!("starting the replication thread: {e}"))?;
         let handle = server
-            .start_with(planner, ThreadPool::with_threads(1), readers, options)
+            .start_with(planner, readers, options)
             .map_err(|e| format!("starting readers: {e}"))?;
         eprintln!("following {upstream}; read-only (ingest answers err read-only)");
         return run_daemon(handle, readers, serve_ms);
@@ -913,13 +905,7 @@ fn cmd_serve_live(
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let handle = server
-        .start_live(
-            planner,
-            ThreadPool::with_threads(1),
-            readers,
-            options,
-            Box::new(live),
-        )
+        .start_live(planner, readers, options, Box::new(live))
         .map_err(|e| format!("starting readers: {e}"))?;
     run_daemon(handle, readers, serve_ms)
 }

@@ -23,9 +23,7 @@
 //! uses, so every operation on one logical set always lands on one
 //! shard. All methods take `&self`; the type is `Sync`, which is what
 //! lets the window scheduler patch month *m+1*'s index (interning and
-//! releasing sets) while worker threads still score months ≤ *m*, and
-//! lets full-rebuild months build their indexes concurrently against the
-//! shared arena.
+//! releasing sets) while worker threads still score months ≤ *m*.
 //!
 //! Reads are optimistic: an `intern` that hits an already-interned set
 //! takes only a shared (read) lock — concurrent dedup hits on different
@@ -119,7 +117,7 @@ const FREE_LIST_CAP: usize = 64;
 
 /// Identity of an interned domain set. Two handles carry the same id iff
 /// they denote exactly the same set contents. The id packs the interior
-/// shard (low [`SHARD_BITS`] bits) and the slot within it.
+/// shard (the low `log2(SHARD_COUNT)` bits) and the slot within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SetId(u32);
 
@@ -233,7 +231,7 @@ impl Shard {
 /// detect sets no longer referenced by any outside handle (the arena
 /// itself holds exactly two references per live set — the table slot and
 /// the map key) and return their slots to a per-shard free list, capped
-/// by [`FREE_LIST_CAP`] with tail compaction.
+/// at 64 free slots per shard with tail compaction.
 pub struct SetArena {
     shards: Vec<WaitLock<Shard>>,
     /// Sets released while an in-flight scoring view (or another thread)

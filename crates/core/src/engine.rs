@@ -8,12 +8,14 @@
 //! [`DetectEngine`] restructures the same computation for scale without
 //! changing a single output bit:
 //!
-//! * **Sharding** — the IPv4 prefix groups are split into shards. Each
-//!   shard enumerates its candidate IPv6 counterparts via the
-//!   domain→prefix reverse map and scores them locally, producing its
-//!   own pair run and best-match maxima. Shard outcomes reduce into the
-//!   global pair set and maxima (v4 maxima are disjoint across shards,
-//!   v6 maxima merge by maximum), so the result equals the serial walk.
+//! * **Sharding** — the IPv4 prefix groups are split into shards by a
+//!   stable hash of the prefix, one layout for [`DetectEngine::detect`],
+//!   a window's seed and every full-mode month. Each shard enumerates
+//!   its candidate IPv6 counterparts via the domain→prefix reverse map
+//!   and scores them locally, producing its own pair run and best-match
+//!   maxima. Shard outcomes reduce into the global pair set and maxima
+//!   (v4 maxima are disjoint across shards, v6 maxima merge by maximum),
+//!   so the result equals the serial walk.
 //!   Candidate enumeration is a *counting join*: the walk that finds the
 //!   candidates already yields every `|A ∩ B|`, so the per-pair merge
 //!   walk of the serial reference disappears from the hot path.
@@ -43,7 +45,9 @@
 //! assembly — runs as fire-and-forget tasks on the pool, so independent
 //! dirty shards of *different* months score concurrently. A one-thread
 //! pool (the default) spawns no worker and runs every task inline at its
-//! spawn, in submission order: the serial walk.
+//! spawn, in submission order: the serial walk. In full mode
+//! ([`EngineConfig::incremental`] off) every month reseeds the window
+//! instead of patching it, releasing the previous month's sets.
 //!
 //! ```text
 //! driver:   load₀ seed₀ | patch₁ spawn₁ | patch₂ spawn₂ | … collect
@@ -55,7 +59,7 @@
 //!
 //! * **Shared immutable core** — the scoring-relevant maps (per-prefix
 //!   group sets, per-domain prefix lists) live behind `Arc`s inside the
-//!   index; each month's tasks capture a [`ScoreView`] (two `Arc`
+//!   index; each month's tasks capture a `ScoreView` (two `Arc`
 //!   clones). Patching the next month goes through `Arc::make_mut`:
 //!   copy-on-write *only if* an older month's view is still in flight,
 //!   free when scoring has already drained (serial runs never copy).
@@ -125,16 +129,19 @@ pub struct EngineConfig {
     pub metric: SimilarityMetric,
     /// Which side's best matches constitute the sibling set.
     pub policy: BestMatchPolicy,
-    /// Number of candidate shards; `0` sizes automatically (a small
-    /// multiple of the worker count, so stealing can balance skew).
+    /// Number of IPv4 shards of a scoring pass; `0` sizes automatically
+    /// to about one group per shard, at least four shards per thread and
+    /// at most 4,096. Shards are stable hash buckets of the prefix, so a
+    /// window keeps its layout from month to month.
     pub shards: usize,
     /// Size of the engine's pool, which the window scheduler and
     /// `detect` dispatch onto. `1` (the default) runs every task inline
     /// on the calling thread; `0` sizes the pool to the machine.
     pub threads: usize,
     /// Whether batch windows run incrementally (snapshot deltas, index
-    /// patching, dirty-shard rescoring). `false` rebuilds every month
-    /// from scratch — the reference the incremental path is
+    /// patching, dirty-shard rescoring). `false` reseeds every month: a
+    /// fresh index and a full scoring pass, which releases the previous
+    /// month's sets — the reference the incremental path is
     /// property-tested against. Defaults to `true`.
     pub incremental: bool,
 }
@@ -156,13 +163,18 @@ impl Default for EngineConfig {
 pub struct BatchStats {
     /// Snapshots processed.
     pub months: usize,
-    /// Distinct live domain sets in the arena after the run.
+    /// Distinct live domain sets in the arena after the run. The same
+    /// at every thread count and in both modes.
     pub distinct_sets: usize,
     /// Intern calls answered by an already-interned set (within and
-    /// across months — the hash-consing payoff).
+    /// across months — the hash-consing payoff). On a pool of more than
+    /// one thread this varies from run to run: a set released while a
+    /// scoring task still holds it is parked rather than recycled, and a
+    /// later intern of the same contents then hits it.
     pub dedup_hits: u64,
-    /// Dead set slots recycled by incremental index patching during this
-    /// run (including deferred recycles swept after scoring drained).
+    /// Dead set slots recycled during this run (including deferred
+    /// recycles swept after scoring drained). Varies with scheduling on
+    /// more than one thread, for the reason given at `dedup_hits`.
     pub recycled_sets: u64,
     /// Months that rebuilt the index from scratch (the first month, RIB
     /// changes, or `incremental = false`).
@@ -188,8 +200,8 @@ pub struct MonthChurn {
     pub changed_effective: usize,
     /// Shards rescored this month.
     pub dirty_shards: usize,
-    /// Total shards of the window (`0` when the month ran through the
-    /// non-incremental per-date pipeline).
+    /// Total shards of the month's scoring layout (fixed across an
+    /// incremental window; recomputed at each reseed).
     pub total_shards: usize,
     /// Whether the month rebuilt and rescored everything.
     pub full_rebuild: bool,
@@ -198,7 +210,7 @@ pub struct MonthChurn {
 impl MonthChurn {
     /// Fraction of shards rescored (1.0 for full rebuilds).
     pub fn rescored_share(&self) -> f64 {
-        if self.full_rebuild || self.total_shards == 0 {
+        if self.full_rebuild {
             1.0
         } else {
             self.dirty_shards as f64 / self.total_shards as f64
@@ -435,21 +447,19 @@ fn shard_of(prefix: &Ipv4Prefix, shard_count: usize) -> usize {
     (hasher.finish() % shard_count as u64) as usize
 }
 
-/// Reduces shard outcomes into the final sibling set exactly as the
-/// serial reference does: v4 maxima are disjoint across shards, v6
-/// maxima merge by maximum, pairs concatenate and are best-match
-/// filtered. Shared by the one-shot [`DetectEngine::detect`] and the
-/// window scheduler's assembly tasks (which mix cached and fresh
+/// Waits for the shard outcome slots and reduces them into the final
+/// sibling set exactly as the serial reference does: v4 maxima are
+/// disjoint across shards, v6 maxima merge by maximum, pairs concatenate
+/// and are best-match filtered. Shared by [`DetectEngine::detect`] and
+/// the window scheduler's assembly tasks (which mix cached and fresh
 /// outcomes). Consumes outcomes **in shard order** — completion order
 /// never matters.
-fn assemble<'a, I>(outcomes: I, policy: BestMatchPolicy) -> SiblingSet
-where
-    I: IntoIterator<Item = &'a ShardOutcome>,
-{
+fn assemble(slots: &[OutcomeSlot], policy: BestMatchPolicy) -> SiblingSet {
     let mut pairs: Vec<SiblingPair> = Vec::new();
     let mut best_v4: BTreeMap<Ipv4Prefix, Ratio> = BTreeMap::new();
     let mut best_v6: BTreeMap<Ipv6Prefix, Ratio> = BTreeMap::new();
-    for outcome in outcomes {
+    for slot in slots {
+        let outcome = slot.wait();
         pairs.extend(outcome.pairs.iter().copied());
         for (&p4, &r) in &outcome.best_v4 {
             best_v4.insert(p4, r);
@@ -519,8 +529,8 @@ impl<'env> WindowCtx<'_, 'env> {
     /// [`WindowCtx::seed_window`] from `snapshot` otherwise — the first
     /// month, or a routing-table change, which invalidates every
     /// domain→prefix mapping. `delta` may be `None` only in the latter
-    /// case. The batch driver and the live writer both step through
-    /// here.
+    /// case. The incremental batch driver and the live writer both step
+    /// through here.
     pub(crate) fn step<S, R>(
         &self,
         state: &mut Option<WindowState<R>>,
@@ -547,7 +557,8 @@ impl<'env> WindowCtx<'_, 'env> {
     }
 
     /// (Re)seeds the window at `date`: full index build, full scoring of
-    /// every shard (as per-shard tasks), fresh candidate index.
+    /// every shard ([`WindowCtx::score_index`]), fresh candidate index.
+    /// `superseded`'s sets are released once the new index is interned.
     pub(crate) fn seed_window<S, R>(
         &self,
         date: MonthDate,
@@ -567,16 +578,9 @@ impl<'env> WindowCtx<'_, 'env> {
             // longer uses recycle.
             old.index.release_sets(self.arena);
         }
-        let shard_count = window_shard_count(&self.config, self.workers, index.group_counts().0);
-        let mut members: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); shard_count];
-        for (p4, _) in index.group_sets::<u32>() {
-            // Group iteration ascends, so each member list stays sorted.
-            members[shard_of(p4, shard_count)].push(*p4);
-        }
+        let (members, slots) = self.score_index(&index);
+        let shard_count = members.len();
         let candidates = CandidateIndex::seed(&index, shard_count);
-        let placeholder: OutcomeSlot = Arc::new(Slot::ready(Arc::new(ShardOutcome::default())));
-        let mut slots: Vec<OutcomeSlot> = vec![placeholder; shard_count];
-        self.spawn_score_bundles(&index, &members, &mut slots, 0..shard_count);
         let churn = MonthChurn {
             date,
             added: 0,
@@ -597,6 +601,23 @@ impl<'env> WindowCtx<'_, 'env> {
             candidates,
         };
         (state, churn)
+    }
+
+    /// Shards `index` by the window's stable hash and spawns the scoring
+    /// of every shard — the one layout every detection runs through:
+    /// [`DetectEngine::detect`], a window's (re)seed and each full-mode
+    /// month. Returns each shard's sorted member list and outcome slot.
+    fn score_index(&self, index: &GroupIndex) -> (Vec<Vec<Ipv4Prefix>>, Vec<OutcomeSlot>) {
+        let shard_count = window_shard_count(&self.config, self.workers, index.group_counts().0);
+        let mut members: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); shard_count];
+        for (p4, _) in index.group_sets::<u32>() {
+            // Group iteration ascends, so each member list stays sorted.
+            members[shard_of(p4, shard_count)].push(*p4);
+        }
+        let placeholder: OutcomeSlot = Arc::new(Slot::ready(Arc::new(ShardOutcome::default())));
+        let mut slots: Vec<OutcomeSlot> = vec![placeholder; shard_count];
+        self.spawn_score_bundles(index, &members, &mut slots, 0..shard_count);
+        (members, slots)
     }
 
     /// The incremental month: apply the snapshot delta to the carried
@@ -729,65 +750,22 @@ impl<'env> WindowCtx<'_, 'env> {
         let policy = self.config.policy;
         let slot = Arc::new(Slot::new());
         let spawned = Instant::now();
-        self.run(&slot, move || {
-            let outcomes: Vec<Arc<ShardOutcome>> = deps.iter().map(|slot| slot.wait()).collect();
-            let set = assemble(outcomes.iter().map(|o| &**o), policy);
-            MonthOutput {
-                set,
-                settle_ns: spawned.elapsed().as_nanos() as u64,
-            }
-        });
-        slot
-    }
-
-    /// A non-incremental month: one task builds a fresh index against
-    /// the shared (concurrent) arena and scores it whole — so in full
-    /// mode, entire months run in parallel.
-    fn spawn_full_month<H, R>(&self, snapshot: H, rib: R) -> Arc<Slot<MonthOutput>>
-    where
-        H: SnapshotSource + Clone + Send + 'static,
-        R: RibSource + Send + 'static,
-    {
-        let config = self.config;
-        let workers = self.workers;
-        let arena = self.arena;
-        let slot = Arc::new(Slot::new());
-        let spawned = Instant::now();
-        self.run(&slot, move || {
-            let index = GroupIndex::build(&snapshot, &rib, arena);
-            let set = detect_standalone(&index, &config, workers);
-            MonthOutput {
-                set,
-                settle_ns: spawned.elapsed().as_nanos() as u64,
-            }
+        self.run(&slot, move || MonthOutput {
+            set: assemble(&deps, policy),
+            settle_ns: spawned.elapsed().as_nanos() as u64,
         });
         slot
     }
 }
 
-/// Shard count for the one-shot `detect` path, where shards are
-/// positional chunks.
-fn one_shot_shard_count(config: &EngineConfig, workers: usize, groups: usize) -> usize {
-    let configured = if config.shards > 0 {
-        config.shards
-    } else {
-        // A few shards per worker lets the pool steal around skewed
-        // candidate distributions; serially it only affects the
-        // chunking, not the result.
-        workers * 4
-    };
-    configured.clamp(1, groups)
-}
-
-/// Shard count for an incremental window, fixed when the window
-/// (re)seeds so the shard assignment stays stable across months.
+/// Shard count of a scoring pass, fixed when a window (re)seeds so the
+/// shard assignment stays stable across months.
 ///
-/// Unlike the one-shot path, incremental sharding is sized for
-/// **dirty granularity**, not just parallelism: with a handful of
-/// groups per shard, a low-churn month marks a correspondingly low
-/// fraction of shards dirty, and the clean remainder reuses cached
-/// outcomes. Empty shards cost one ready slot each during seeding, so
-/// overshooting is cheap; the cap bounds that overhead.
+/// Sharding is sized for **dirty granularity**, not just parallelism:
+/// with a handful of groups per shard, a low-churn month marks a
+/// correspondingly low fraction of shards dirty, and the clean remainder
+/// reuses cached outcomes. Empty shards cost one ready slot each during
+/// seeding, so overshooting is cheap; the cap bounds that overhead.
 fn window_shard_count(config: &EngineConfig, workers: usize, groups_hint: usize) -> usize {
     if config.shards > 0 {
         return config.shards.max(1);
@@ -799,56 +777,6 @@ fn window_shard_count(config: &EngineConfig, workers: usize, groups_hint: usize)
     // invert the clamp bounds.
     let parallel_floor = (workers * 4).clamp(1, 4096);
     groups_hint.clamp(parallel_floor, 4096)
-}
-
-/// Serial one-shot detection with the same shard layout as
-/// [`DetectEngine::detect`] — used inside full-mode month tasks, which
-/// must not nest a `map` onto the pool they already occupy (whole months
-/// are the parallel unit there).
-fn detect_standalone(index: &GroupIndex, config: &EngineConfig, workers: usize) -> SiblingSet {
-    let Some(layout) = OneShotLayout::of(index, config, workers) else {
-        return SiblingSet::default();
-    };
-    let outcomes: Vec<ShardOutcome> = layout
-        .shards()
-        .map(|shard| score_shard(&layout.view, config.metric, shard))
-        .collect();
-    assemble(outcomes.iter(), config.policy)
-}
-
-/// The shared setup of both one-shot paths ([`DetectEngine::detect`] and
-/// [`detect_standalone`]): the captured view plus the positional shard
-/// chunking. Keeping one implementation guarantees the two paths can
-/// only differ in *how* the chunks are dispatched, never in what they
-/// score — the full-mode/incremental bit-identity contract rests on it.
-struct OneShotLayout {
-    view: ScoreView,
-    groups: Vec<(Ipv4Prefix, SetHandle)>,
-    chunk: usize,
-}
-
-impl OneShotLayout {
-    /// `None` iff the index has no v4 groups (nothing to detect).
-    fn of(index: &GroupIndex, config: &EngineConfig, workers: usize) -> Option<Self> {
-        let groups: Vec<(Ipv4Prefix, SetHandle)> = index
-            .group_sets::<u32>()
-            .map(|(p, h)| (*p, h.clone()))
-            .collect();
-        if groups.is_empty() {
-            return None;
-        }
-        let shard_count = one_shot_shard_count(config, workers, groups.len());
-        let chunk = groups.len().div_ceil(shard_count);
-        Some(Self {
-            view: ScoreView::capture(index),
-            groups,
-            chunk,
-        })
-    }
-
-    fn shards(&self) -> impl Iterator<Item = &[(Ipv4Prefix, SetHandle)]> {
-        self.groups.chunks(self.chunk)
-    }
 }
 
 impl DetectEngine {
@@ -898,16 +826,7 @@ impl DetectEngine {
     /// scoring, then a best-match reduction. Output is bit-identical to
     /// [`crate::detect`] with the same metric and policy.
     pub fn detect(&self, index: &GroupIndex) -> SiblingSet {
-        let Some(layout) = OneShotLayout::of(index, &self.config, self.pool.threads()) else {
-            return SiblingSet::default();
-        };
-        let shards: Vec<&[(Ipv4Prefix, SetHandle)]> = layout.shards().collect();
-        let metric = self.config.metric;
-        let view = &layout.view;
-        let outcomes = self
-            .pool
-            .map(&shards, |_, shard| score_shard(view, metric, shard));
-        assemble(outcomes.iter(), self.config.policy)
+        self.in_window(|ctx| assemble(&ctx.score_index(index).1, self.config.policy))
     }
 
     /// Walks the inclusive monthly window `from..=to` once: per month,
@@ -969,8 +888,11 @@ impl DetectEngine {
         // collection unblocks on each month's `Slot::set`, but a score
         // bundle still holds its captured view/handles for an instant
         // after its last `set` — only the scope exit guarantees every
-        // task (and thus every transient pin) is gone, making the final
-        // sweep and the stats deterministic across schedules.
+        // task (and thus every transient pin) is gone, so the final sweep
+        // reclaims every parked set and `distinct_sets` is the same on
+        // any schedule. `dedup_hits` and `recycled_sets` are not: which
+        // releases parked along the way depends on the schedule (see
+        // `BatchStats::dedup_hits`).
         self.arena.sweep();
         run.stats.distinct_sets = self.arena.len();
         run.stats.dedup_hits = self.arena.dedup_hits();
@@ -1061,27 +983,17 @@ impl WindowCtx<'_, '_> {
             let rib = ribs[i].clone();
             let started = Instant::now();
 
-            let churn = if !incremental {
-                // The reference per-date pipeline: fresh index, full
-                // scoring — dispatched whole, so full-mode months
-                // parallelize across the window.
-                month_slots.push(self.spawn_full_month(snapshot, rib));
-                MonthChurn {
-                    date: dates[i],
-                    added: 0,
-                    removed: 0,
-                    retargeted: 0,
-                    changed_effective: 0,
-                    dirty_shards: 0,
-                    total_shards: 0,
-                    full_rebuild: true,
-                }
-            } else {
+            let churn = if incremental {
                 let delta = diffs[i].take().map(|slot| slot.take());
-                let churn = self.step(&mut state, dates[i], &snapshot, rib, delta.as_ref());
-                month_slots.push(self.spawn_assemble(state.as_ref().expect("state seeded")));
+                self.step(&mut state, dates[i], &snapshot, rib, delta.as_ref())
+            } else {
+                // The reference: every month reseeds, releasing the
+                // previous month's sets as a table change does.
+                let (seeded, churn) = self.seed_window(dates[i], &snapshot, rib, state.take());
+                state = Some(seeded);
                 churn
             };
+            month_slots.push(self.spawn_assemble(state.as_ref().expect("state seeded")));
             patch_ns.push(started.elapsed().as_nanos() as u64);
             churns.push(churn);
             // Reclaim sets whose deferred releases have since unpinned.
@@ -1457,12 +1369,11 @@ mod tests {
         }
     }
 
-    /// The cross-month scheduler contract: stdout-visible results are
-    /// identical across window thread counts, in both engine modes.
-    #[test]
-    fn window_results_identical_across_thread_counts() {
-        let (_snap, rib) = fixture();
-        let rib = Arc::new(rib);
+    /// Six months on the fixture's table, every one with churn: domains
+    /// rotate through addresses, and domain 3 is dual-stack only in even
+    /// months.
+    fn rotating_window() -> (RibArchive<Arc<Rib>>, Vec<MonthDate>) {
+        let rib = Arc::new(fixture().1);
         let dates: Vec<MonthDate> = (0..6)
             .map(|k| MonthDate::new(2024, 3).add_months(k))
             .collect();
@@ -1470,25 +1381,34 @@ mod tests {
         for &d in &dates {
             archive.insert_shared(d, rib.clone());
         }
-        // Rotate domains through prefixes so every month has churn.
-        let snapshot_of = |d: MonthDate| {
-            let mut s = DnsSnapshot::new(d);
-            let k = u32::from(d.month());
-            s.merge(
-                DomainId(1),
-                vec![a4("203.0.1.1") + k],
-                vec![a6("2600:1::1")],
-            );
-            s.merge(
-                DomainId(2),
-                vec![a4("203.0.1.2")],
-                vec![a6("2600:2::2") + u128::from(k % 2)],
-            );
-            if k % 2 == 0 {
-                s.merge(DomainId(3), vec![a4("198.51.1.3")], vec![a6("2600:2::3")]);
-            }
-            Arc::new(s)
-        };
+        (archive, dates)
+    }
+
+    fn rotating_snapshot(d: MonthDate) -> Arc<DnsSnapshot> {
+        let mut s = DnsSnapshot::new(d);
+        let k = u32::from(d.month());
+        s.merge(
+            DomainId(1),
+            vec![a4("203.0.1.1") + k],
+            vec![a6("2600:1::1")],
+        );
+        s.merge(
+            DomainId(2),
+            vec![a4("203.0.1.2")],
+            vec![a6("2600:2::2") + u128::from(k % 2)],
+        );
+        if k % 2 == 0 {
+            s.merge(DomainId(3), vec![a4("198.51.1.3")], vec![a6("2600:2::3")]);
+        }
+        Arc::new(s)
+    }
+
+    /// The cross-month scheduler contract: stdout-visible results are
+    /// identical across window thread counts, in both engine modes, and
+    /// so is the arena's live set count at the window's end.
+    #[test]
+    fn window_results_identical_across_thread_counts() {
+        let (archive, dates) = rotating_window();
         for incremental in [true, false] {
             let mut reference: Option<BatchRun> = None;
             for threads in [1usize, 2, 4] {
@@ -1502,10 +1422,13 @@ mod tests {
                     shards: 16,
                     ..EngineConfig::default()
                 });
-                let run = engine.run_dates(&dates, &archive, snapshot_of).unwrap();
+                let run = engine
+                    .run_dates(&dates, &archive, rotating_snapshot)
+                    .unwrap();
                 assert_eq!(run.timings.len(), dates.len());
                 if let Some(want) = &reference {
                     assert_eq!(run.results.len(), want.results.len());
+                    assert_eq!(run.stats.distinct_sets, want.stats.distinct_sets);
                     for &d in &dates {
                         assert_sets_equal(run.at(d).unwrap(), want.at(d).unwrap());
                     }
@@ -1519,6 +1442,32 @@ mod tests {
                     reference = Some(run);
                 }
             }
+        }
+    }
+
+    /// Full mode reseeds every month and releases the previous month's
+    /// sets, so it ends the window holding what the incremental path
+    /// holds: the last month's sets, and nothing from earlier months.
+    #[test]
+    fn full_mode_releases_each_months_sets() {
+        let (archive, dates) = rotating_window();
+        let last = dates[dates.len() - 1];
+        let fresh = SetArena::default();
+        let _last_index = GroupIndex::build(&*rotating_snapshot(last), &fixture().1, &fresh);
+        for threads in [1usize, 2] {
+            let distinct = |incremental| {
+                let mut engine = DetectEngine::new(EngineConfig {
+                    threads,
+                    incremental,
+                    ..EngineConfig::default()
+                });
+                let run = engine
+                    .run_dates(&dates, &archive, rotating_snapshot)
+                    .unwrap();
+                run.stats.distinct_sets
+            };
+            assert_eq!(distinct(true), fresh.len(), "the last month's sets");
+            assert_eq!(distinct(false), fresh.len(), "full mode released the rest");
         }
     }
 

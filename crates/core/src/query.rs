@@ -11,7 +11,7 @@
 //!   sorted pair vector — the same structure batch produced, reused as-is.
 //! * **Top-k queries** (`partners P M k`) need pairs *per prefix, ranked
 //!   by similarity* — an order batch never materializes. Each month gets
-//!   a [`PostingTable`] per family: the sorted key column, a prefix-sum
+//!   a `PostingTable` per family: the sorted key column, a prefix-sum
 //!   offset column, and one flat array of pair indices ranked by
 //!   (similarity descending, partner ascending). Top-k is a binary search
 //!   plus a `k`-bounded slice walk; nothing is re-sorted at query time.

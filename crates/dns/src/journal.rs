@@ -31,7 +31,7 @@
 //! `base seq` is the sequence number of the last record dropped by a
 //! compaction [`IngestJournal::reset`], so the `i`-th record in the file
 //! (0-based) has sequence `base seq + i + 1` and
-//! [`IngestJournal::next_seq`] is stable across both restarts and
+//! [`IngestJournal::last_seq`] is stable across both restarts and
 //! compactions. The serving layer derives its published epoch from it
 //! (`epoch = 1 + seq`), which is what makes a replication feed cursor
 //! exact across primary crashes. `reset` advances `base seq` by

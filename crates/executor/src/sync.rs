@@ -230,11 +230,14 @@ mod tests {
             let lock = lock.clone();
             std::thread::spawn(move || *lock.read())
         };
-        // Let the contender reach the blocking path, then release.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // The contender's failed `try_read` counts before it blocks, so
+        // the writer holds on until the wait is on record.
+        while lock.wait_count() == 0 {
+            std::thread::yield_now();
+        }
         drop(guard);
         assert_eq!(contender.join().unwrap(), 10);
-        assert!(lock.wait_count() >= 1, "blocked read counted");
+        assert_eq!(lock.wait_count(), 1, "one blocked read, counted once");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! 2. The run's pair sets are pivoted into the read-optimized
 //!    [`sibling_core::query::WindowQueryIndex`] and published behind an
 //!    `Arc` — immutable from then on.
-//! 3. A [`Server`] spawns N resident reader threads on the executor pool
-//!    ([`sibling_executor::ThreadPool::spawn_resident`]); each answers
+//! 3. A [`Server`] spawns N reader threads of its own (plus one writer
+//!    thread on a live daemon); each reader answers
 //!    the line [`protocol`] over TCP or unix sockets through the shared
 //!    [`QueryPlanner`]. The hot path takes no lock and performs no
 //!    allocation: readers share the index through the `Arc` and reuse a
@@ -46,7 +46,6 @@ mod tests {
 
     use sibling_core::query::WindowQueryIndex;
     use sibling_core::{Ratio, SiblingPair, SiblingSet};
-    use sibling_executor::ThreadPool;
     use sibling_net_types::MonthDate;
 
     use super::*;
@@ -66,9 +65,7 @@ mod tests {
 
     fn start_tcp(readers: usize) -> ServerHandle {
         let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-        server
-            .start(planner(), ThreadPool::with_threads(2), readers)
-            .unwrap()
+        server.start(planner(), readers).unwrap()
     }
 
     #[test]
@@ -132,7 +129,6 @@ mod tests {
         let handle = server
             .start_with(
                 planner(),
-                ThreadPool::with_threads(2),
                 2,
                 ServeOptions {
                     max_conns: 1,
@@ -162,7 +158,6 @@ mod tests {
         let handle = server
             .start_with(
                 planner(),
-                ThreadPool::with_threads(2),
                 2,
                 ServeOptions {
                     shed_expensive_at: 1, // any active connection = pressure
@@ -204,7 +199,6 @@ mod tests {
         let handle = server
             .start_with(
                 planner(),
-                ThreadPool::with_threads(1),
                 1,
                 ServeOptions {
                     request_deadline: std::time::Duration::from_millis(100),
@@ -230,7 +224,6 @@ mod tests {
         let handle = server
             .start_with(
                 planner(),
-                ThreadPool::with_threads(1),
                 1,
                 ServeOptions {
                     idle_timeout: std::time::Duration::from_millis(100),
@@ -252,7 +245,6 @@ mod tests {
         let handle = server
             .start_with(
                 planner(),
-                ThreadPool::with_threads(2),
                 2,
                 ServeOptions {
                     max_conns: 1,
@@ -378,7 +370,6 @@ mod tests {
         let handle = server
             .start_live(
                 QueryPlanner::live(window),
-                ThreadPool::with_threads(2),
                 2,
                 ServeOptions::default(),
                 Box::new(sink),
@@ -538,9 +529,7 @@ mod tests {
             std::env::temp_dir().join(format!("sibling-service-test-{}.sock", std::process::id()));
         let server = Server::bind(&Endpoint::Unix(path.clone())).unwrap();
         assert_eq!(server.endpoint(), format!("unix://{}", path.display()));
-        let handle = server
-            .start(planner(), ThreadPool::with_threads(1), 1)
-            .unwrap();
+        let handle = server.start(planner(), 1).unwrap();
         let mut client = Client::connect(handle.endpoint()).unwrap();
         match client.roundtrip("stats 2024-01").unwrap() {
             Response::Ok(rows) => {

@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use sibling_core::query::{MonthStats, MonthView, WindowQueryIndex};
+use sibling_core::query::{MonthView, WindowQueryIndex};
 use sibling_core::{PublishedWindow, SiblingPair};
 use sibling_net_types::MonthDate;
 
@@ -273,12 +273,6 @@ impl QueryPlanner {
             }
         }
         Ok(())
-    }
-
-    /// The batch-table header matching `stats` data lines — what the CLI
-    /// prints above them.
-    pub fn stats_header() -> String {
-        MonthStats::batch_header()
     }
 }
 

@@ -91,8 +91,8 @@ struct FeedState {
 /// Entries are hex-armored once at publish time — the exact bytes
 /// [`sibling_dns::encode_delta`] wrote to the journal — so the feed and
 /// the journal cannot drift. Retention is bounded: a follower lagging
-/// by more than [`DeltaFeed::retain`] entries must re-bootstrap from
-/// the snapshot store.
+/// by more entries than the feed retains must re-bootstrap from the
+/// snapshot store.
 pub struct DeltaFeed {
     state: Mutex<FeedState>,
     retain: usize,

@@ -1,8 +1,8 @@
 //! The socket server: N resident reader threads answering the line
 //! protocol over TCP or unix-domain sockets.
 //!
-//! Each reader is a long-lived [`ThreadPool::spawn_resident`] task owning
-//! a clone of the listener: it accepts a connection, answers request
+//! Each reader is a named thread of the server's own, owning a clone of
+//! the listener: it accepts a connection, answers request
 //! lines until the peer hangs up, then accepts the next — so `readers`
 //! bounds the number of concurrently served connections. The listener is
 //! non-blocking and accepted streams get a short read timeout, so every
@@ -44,10 +44,10 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sibling_dns::SnapshotDelta;
-use sibling_executor::{ResidentCtx, ThreadPool};
 
 use crate::ingest::IngestSink;
 use crate::planner::QueryPlanner;
@@ -325,9 +325,12 @@ struct Shared {
     ingest: Option<Mutex<mpsc::Sender<IngestJob>>>,
 }
 
-impl Shared {
-    fn stopping(&self, ctx: &ResidentCtx) -> bool {
-        self.stop.load(Ordering::Acquire) || ctx.stopping()
+/// Raises the stop flag and joins `threads`; every server thread polls
+/// the flag at least every [`POLL_INTERVAL`], so this returns promptly.
+fn stop_and_join(shared: &Shared, threads: Vec<JoinHandle<()>>) {
+    shared.stop.store(true, Ordering::Release);
+    for thread in threads {
+        let _ = thread.join();
     }
 }
 
@@ -375,48 +378,40 @@ impl Server {
     }
 
     /// [`Server::start_with`] under default [`ServeOptions`].
-    pub fn start(
-        self,
-        planner: QueryPlanner,
-        pool: ThreadPool,
-        readers: usize,
-    ) -> io::Result<ServerHandle> {
-        self.start_with(planner, pool, readers, ServeOptions::default())
+    pub fn start(self, planner: QueryPlanner, readers: usize) -> io::Result<ServerHandle> {
+        self.start_with(planner, readers, ServeOptions::default())
     }
 
-    /// Starts `readers` resident reader threads on `pool` and returns
-    /// the running server's handle. The pool is moved in: the server owns
-    /// it for the rest of its life, and dropping the handle stops the
-    /// readers and joins them (via the pool's own shutdown signal).
+    /// Starts `readers` reader threads and returns the running server's
+    /// handle; dropping the handle stops the readers and joins them. If
+    /// a thread fails to spawn, the ones already started are stopped and
+    /// joined before the error returns.
     pub fn start_with(
         self,
         planner: QueryPlanner,
-        pool: ThreadPool,
         readers: usize,
         options: ServeOptions,
     ) -> io::Result<ServerHandle> {
-        self.launch(planner, pool, readers, options, None)
+        self.launch(planner, readers, options, None)
     }
 
-    /// [`Server::start_with`] plus a writer: one extra resident thread
-    /// owns `sink` and applies queued `ingest` deltas strictly in
-    /// arrival order, so readers stay lock-free while the window
-    /// advances epoch by epoch.
+    /// [`Server::start_with`] plus a writer: one extra thread owns
+    /// `sink` and applies queued `ingest` deltas strictly in arrival
+    /// order, so readers stay lock-free while the window advances epoch
+    /// by epoch.
     pub fn start_live(
         self,
         planner: QueryPlanner,
-        pool: ThreadPool,
         readers: usize,
         options: ServeOptions,
         sink: Box<dyn IngestSink>,
     ) -> io::Result<ServerHandle> {
-        self.launch(planner, pool, readers, options, Some(sink))
+        self.launch(planner, readers, options, Some(sink))
     }
 
     fn launch(
         self,
         mut planner: QueryPlanner,
-        pool: ThreadPool,
         readers: usize,
         options: ServeOptions,
         sink: Option<Box<dyn IngestSink>>,
@@ -451,17 +446,33 @@ impl Server {
             drain_deadline: options.drain_deadline,
             ingest,
         });
-        if let Some((sink, rx)) = writer {
-            let shared = Arc::clone(&shared);
-            pool.spawn_resident(move |ctx| writer_loop(sink, rx, shared, ctx));
-        }
-        for _ in 0..readers {
-            let listener = self.listener.try_clone()?;
-            let shared = Arc::clone(&shared);
-            pool.spawn_resident(move |ctx| reader_loop(listener, shared, ctx));
+        let mut threads = Vec::with_capacity(readers + 1);
+        let spawned = (|| -> io::Result<()> {
+            if let Some((sink, rx)) = writer {
+                let shared = Arc::clone(&shared);
+                threads.push(
+                    std::thread::Builder::new()
+                        .name("sibling-writer".into())
+                        .spawn(move || writer_loop(sink, rx, &shared))?,
+                );
+            }
+            for _ in 0..readers {
+                let listener = self.listener.try_clone()?;
+                let shared = Arc::clone(&shared);
+                threads.push(
+                    std::thread::Builder::new()
+                        .name("sibling-reader".into())
+                        .spawn(move || reader_loop(listener, &shared))?,
+                );
+            }
+            Ok(())
+        })();
+        if let Err(error) = spawned {
+            stop_and_join(&shared, threads);
+            return Err(error);
         }
         Ok(ServerHandle {
-            pool: Some(pool),
+            threads,
             shared,
             endpoint: self.endpoint,
             socket_path: self.socket_path,
@@ -469,10 +480,10 @@ impl Server {
     }
 }
 
-/// A running server. Dropping it stops and joins every reader thread and
+/// A running server. Dropping it stops and joins every server thread and
 /// removes the unix socket file, if any.
 pub struct ServerHandle {
-    pool: Option<ThreadPool>,
+    threads: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
     endpoint: String,
     socket_path: Option<PathBuf>,
@@ -487,11 +498,6 @@ impl ServerHandle {
     /// The serving counters so far.
     pub fn stats(&self) -> ServeStatsSnapshot {
         self.shared.stats.snapshot()
-    }
-
-    /// Connections being served right now.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
     }
 
     /// Blocks the calling thread until the process is killed — the
@@ -513,9 +519,7 @@ impl ServerHandle {
             std::thread::sleep(Duration::from_millis(1));
         }
         let drained = self.shared.active.load(Ordering::Acquire) == 0;
-        // Joins the readers; they poll the stop flag at least every
-        // POLL_INTERVAL, so this returns promptly even when not drained.
-        drop(self.pool.take());
+        stop_and_join(&self.shared, std::mem::take(&mut self.threads));
         DrainReport {
             drained,
             stats: self.shared.stats.snapshot(),
@@ -525,10 +529,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        // Joins workers then residents; readers poll the stop flag at
-        // least every POLL_INTERVAL, so this returns promptly.
-        drop(self.pool.take());
+        stop_and_join(&self.shared, std::mem::take(&mut self.threads));
         if let Some(path) = &self.socket_path {
             let _ = std::fs::remove_file(path);
         }
@@ -538,9 +539,9 @@ impl Drop for ServerHandle {
 /// One reader thread: accept, serve the connection to EOF, repeat. A
 /// connection beyond the cap is turned away with `err busy`; a panic
 /// while serving kills only that connection.
-fn reader_loop(listener: Listener, shared: Arc<Shared>, ctx: ResidentCtx) {
+fn reader_loop(listener: Listener, shared: &Shared) {
     let mut out = String::new();
-    while !shared.stopping(&ctx) {
+    while !shared.stop.load(Ordering::Acquire) {
         // Failpoint: a transient accept failure (e.g. peer reset
         // mid-handshake) — same handling as the real thing below.
         if sibling_failpoint::point("service::accept") {
@@ -557,7 +558,7 @@ fn reader_loop(listener: Listener, shared: Arc<Shared>, ctx: ResidentCtx) {
                     let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         // Transport errors end the connection, never the
                         // reader.
-                        let _ = serve_conn(&shared, conn, &mut out, &ctx);
+                        let _ = serve_conn(shared, conn, &mut out);
                     }));
                     if served.is_err() {
                         ServeStats::bump(&shared.stats.panics);
@@ -580,12 +581,7 @@ fn reader_loop(listener: Listener, shared: Arc<Shared>, ctx: ResidentCtx) {
 /// the sink is caught and reported as a failed ingest — the sink is
 /// expected to have rolled back to its last published epoch (see
 /// [`sibling_core::EpochState`]), so the thread keeps serving.
-fn writer_loop(
-    mut sink: Box<dyn IngestSink>,
-    jobs: mpsc::Receiver<IngestJob>,
-    shared: Arc<Shared>,
-    ctx: ResidentCtx,
-) {
+fn writer_loop(mut sink: Box<dyn IngestSink>, jobs: mpsc::Receiver<IngestJob>, shared: &Shared) {
     loop {
         match jobs.recv_timeout(POLL_INTERVAL) {
             Ok(job) => {
@@ -617,7 +613,7 @@ fn writer_loop(
                 let _ = job.reply.send(outcome);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.stopping(&ctx) {
+                if shared.stop.load(Ordering::Acquire) {
                     return;
                 }
             }
@@ -709,7 +705,7 @@ fn shed_conn(mut conn: Conn, active: usize, max: usize) -> io::Result<()> {
 }
 
 /// Serves one connection until EOF, transport error, deadline or drain.
-fn serve_conn(shared: &Shared, conn: Conn, out: &mut String, ctx: &ResidentCtx) -> io::Result<()> {
+fn serve_conn(shared: &Shared, conn: Conn, out: &mut String) -> io::Result<()> {
     conn.prepare(Some(POLL_INTERVAL))?;
     let mut reader = BufReader::new(conn);
     let mut line = String::new();
@@ -753,7 +749,7 @@ fn serve_conn(shared: &Shared, conn: Conn, out: &mut String, ctx: &ResidentCtx) 
                 last_done = Instant::now();
                 // Drain: the in-flight request just finished; close
                 // instead of reading the next one.
-                if shared.stopping(ctx) {
+                if shared.stop.load(Ordering::Acquire) {
                     return Ok(());
                 }
             }
@@ -765,7 +761,7 @@ fn serve_conn(shared: &Shared, conn: Conn, out: &mut String, ctx: &ResidentCtx) 
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if shared.stopping(ctx) {
+                if shared.stop.load(Ordering::Acquire) {
                     return Ok(());
                 }
                 let waited = last_done.elapsed();

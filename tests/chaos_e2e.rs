@@ -31,7 +31,6 @@ use sibling_core::{BatchRun, DetectEngine, EngineConfig, EpochState, WindowQuery
 use sibling_dns::{
     encode_snapshot, DnsSnapshot, IngestJournal, LoadMode, SnapshotDelta, SnapshotStore, StoreError,
 };
-use sibling_executor::ThreadPool;
 use sibling_failpoint as failpoint;
 use sibling_net_types::MonthDate;
 use sibling_service::{
@@ -601,7 +600,7 @@ fn daemon_under_chaos_answers_bit_identically_and_drains() {
         shed_expensive_at: 0,
     };
     let handle = server
-        .start_with(planner, ThreadPool::with_threads(1), 3, options)
+        .start_with(planner, 3, options)
         .expect("server starts");
 
     // Reference side: an independent recompute answers every request
@@ -787,13 +786,7 @@ fn primary_killed_mid_stream_follower_serves_pinned_epoch_then_catches_up() {
         let server = Server::bind(&Endpoint::Unix(sock.clone())).expect("bind unix");
         let endpoint = server.endpoint().to_string();
         let handle = server
-            .start_live(
-                planner,
-                ThreadPool::with_threads(1),
-                2,
-                ServeOptions::default(),
-                Box::new(live),
-            )
+            .start_live(planner, 2, ServeOptions::default(), Box::new(live))
             .expect("primary starts");
         (handle, endpoint)
     };
@@ -825,12 +818,7 @@ fn primary_killed_mid_stream_follower_serves_pinned_epoch_then_catches_up() {
     )
     .expect("replication thread starts");
     let follower_handle = follower_server
-        .start_with(
-            follower_planner,
-            ThreadPool::with_threads(1),
-            2,
-            ServeOptions::default(),
-        )
+        .start_with(follower_planner, 2, ServeOptions::default())
         .expect("follower starts");
 
     let health_lines = |client: &mut Client| match client.roundtrip("health").expect("health") {

@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use sibling_core::{DetectEngine, EngineConfig, SiblingPair, SiblingSet, WindowQueryIndex};
-use sibling_executor::ThreadPool;
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix, MonthDate};
 use sibling_service::{Client, Endpoint, QueryPlanner, Response, Server};
 use sibling_worldgen::{World, WorldConfig};
@@ -94,9 +93,7 @@ fn served_answers_are_bit_identical_to_batch_recompute() {
     let planner = QueryPlanner::new(WindowQueryIndex::publish(&run).expect("non-empty window"));
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
     let endpoint = server.endpoint().to_string();
-    let handle = server
-        .start(planner, ThreadPool::with_threads(1), 2)
-        .expect("server starts");
+    let handle = server.start(planner, 2).expect("server starts");
 
     // The reference side: a *fresh* engine recomputes the same window,
     // and every expectation below is derived from its raw results.
@@ -198,9 +195,7 @@ fn malformed_lines_keep_the_connection_alive() {
     let planner = QueryPlanner::new(WindowQueryIndex::publish(&run).expect("non-empty window"));
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
     let endpoint = server.endpoint().to_string();
-    let handle = server
-        .start(planner, ThreadPool::with_threads(1), 1)
-        .expect("server starts");
+    let handle = server.start(planner, 1).expect("server starts");
 
     let mut client = Client::connect(&endpoint).expect("connect");
 
@@ -290,13 +285,7 @@ fn live_daemon_ingest_epoch_and_health_over_the_wire() {
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
     let endpoint = server.endpoint().to_string();
     let handle = server
-        .start_live(
-            planner,
-            ThreadPool::with_threads(1),
-            2,
-            ServeOptions::default(),
-            Box::new(live),
-        )
+        .start_live(planner, 2, ServeOptions::default(), Box::new(live))
         .expect("server starts");
 
     let mut client = Client::connect(&endpoint).expect("connect");
@@ -396,7 +385,6 @@ fn follower_tails_the_primary_and_serves_identical_answers() {
     let primary_handle = primary_server
         .start_live(
             primary_planner,
-            ThreadPool::with_threads(1),
             2,
             ServeOptions::default(),
             Box::new(primary_live),
@@ -420,12 +408,7 @@ fn follower_tails_the_primary_and_serves_identical_answers() {
     )
     .expect("replication thread starts");
     let follower_handle = follower_server
-        .start_with(
-            follower_planner,
-            ThreadPool::with_threads(1),
-            2,
-            ServeOptions::default(),
-        )
+        .start_with(follower_planner, 2, ServeOptions::default())
         .expect("follower starts");
 
     // Stream two months into the primary over the wire.
