@@ -127,8 +127,8 @@ impl Args {
     }
 
     /// The engine of `batch` and `serve`: `--mode incremental|full` and
-    /// `--window-threads N`, the pool size (default 1, which runs every
-    /// task inline; 0 sizes the pool to the machine).
+    /// `--window-threads N`, the pool size (default 0, which sizes the
+    /// pool to the machine; 1 runs every task inline).
     fn engine_config(&self) -> Result<EngineConfig, String> {
         let incremental = match self.get("mode").unwrap_or("incremental") {
             "incremental" => true,
@@ -139,7 +139,7 @@ impl Args {
                 ))
             }
         };
-        let threads = self.get("window-threads").unwrap_or("1");
+        let threads = self.get("window-threads").unwrap_or("0");
         let threads = threads.parse().map_err(|_| {
             format!("bad --window-threads {threads:?} (unsigned integer, 0 = machine size)")
         })?;
@@ -192,7 +192,7 @@ fn usage() -> &'static str {
      holds a world file (world export), routing and organization tables\n\
      are mapped from it too and worldgen is skipped entirely. batch\n\
      --window-threads sizes the cross-month scheduler's pool (default\n\
-     1, which runs every task inline; 0 sizes it to the machine).\n\
+     0, which sizes it to the machine; 1 runs every task inline).\n\
      detection output is byte-identical across stores, modes and\n\
      thread counts. under serve --ingest the flag sizes start-up\n\
      scoring only: the live writer always runs on one thread\n\
@@ -588,7 +588,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
 
     // Engine accounting (stderr): per-month input churn and how little of
     // the shard space the incremental path had to rescore.
-    eprintln!("\nchurn     +dom  -dom  ~dom  (eff)   shards rescored");
+    // `run_window` diffs dual-stack entries only, so the first three
+    // columns count domains joining, leaving and moving within that set.
+    eprintln!("\nchurn      +ds   -ds   ~ds  (eff)   shards rescored");
     for churn in &run.churn {
         if churn.full_rebuild {
             eprintln!(
@@ -717,6 +719,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut engine = DetectEngine::new(args.engine_config()?);
     let score = Instant::now();
     let run = run_window_input(args, &mut engine, &config, from, to)?;
+    // Scoring is done: the engine's pool workers exit here, so the
+    // daemon serves with its readers alone.
+    drop(engine);
     let index = WindowQueryIndex::publish(&run).map_err(|e| e.to_string())?;
     eprintln!(
         "window {from}..{to} scored and published in {} ms: {} months, {} pairs resident",
@@ -828,7 +833,11 @@ fn cmd_serve_live(
     let score = Instant::now();
     let mut engine = DetectEngine::new(engine_config);
     let run = engine.run_window(from, to, &archive, |date| snaps[&date].clone())?;
-    let tail = snaps[&to].clone();
+    drop(engine);
+    // Out of `snaps`, the tail has the writer as its only holder, so
+    // replay and the first ingest patch it in place instead of copying
+    // it. The other months, and the world, go once serving has started.
+    let tail = snaps.remove(&to).expect("the window holds its tail month");
     let (epoch, index) =
         EpochState::seed(engine_config, archive, run.results, tail).map_err(|e| e.to_string())?;
     eprintln!(
@@ -868,6 +877,7 @@ fn cmd_serve_live(
             .start_with(planner, readers, options)
             .map_err(|e| format!("starting readers: {e}"))?;
         eprintln!("following {upstream}; read-only (ingest answers err read-only)");
+        drop((snaps, world));
         return run_daemon(handle, readers, serve_ms);
     }
     let feed = std::sync::Arc::new(DeltaFeed::new());
@@ -899,6 +909,7 @@ fn cmd_serve_live(
     let handle = server
         .start_live(planner, readers, options, Box::new(live))
         .map_err(|e| format!("starting readers: {e}"))?;
+    drop((snaps, world));
     run_daemon(handle, readers, serve_ms)
 }
 

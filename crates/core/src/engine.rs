@@ -25,10 +25,12 @@
 //!   short-circuit.
 //! * **Incremental batch driving** — [`DetectEngine::run_window`] walks
 //!   a dated snapshot window with cost proportional to **churn**, not
-//!   snapshot size: consecutive snapshots are diffed
-//!   ([`sibling_dns::SnapshotDelta`]), the previous month's index is
-//!   patched in place ([`crate::GroupIndex::apply_delta`], recycling
-//!   dead arena sets), and only *dirty* shards are rescored. The engine
+//!   snapshot size: the dual-stack entries of consecutive snapshots are
+//!   diffed ([`sibling_dns::SnapshotDelta`]; a domain outside the
+//!   dual-stack set on both sides is never materialized), the previous
+//!   month's index is patched in place
+//!   ([`crate::GroupIndex::apply_delta`], recycling dead arena sets),
+//!   and only *dirty* shards are rescored. The engine
 //!   carries a bare [`GroupIndex`] — groups and domain→prefix lists
 //!   only; the SP-Tuner host tries of an analysis
 //!   [`crate::PrefixDomainIndex`] are never built on this path.
@@ -43,9 +45,10 @@
 //! sequential chain the driver thread walks), but everything else —
 //! month-over-month snapshot diffs, dirty-shard rescoring, and per-month
 //! assembly — runs as fire-and-forget tasks on the pool, so independent
-//! dirty shards of *different* months score concurrently. A one-thread
-//! pool (the default) spawns no worker and runs every task inline at its
-//! spawn, in submission order: the serial walk. In full mode
+//! dirty shards of *different* months score concurrently. By default the
+//! pool is sized to the machine. A one-thread pool spawns no worker and
+//! runs every task inline at its spawn, in submission order: the serial
+//! walk. In full mode
 //! ([`EngineConfig::incremental`] off) every month reseeds the window
 //! instead of patching it, releasing the previous month's sets.
 //!
@@ -118,7 +121,7 @@ use sibling_executor::{Scope, ThreadPool};
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix, MonthDate};
 
 use crate::arena::{FxHasher, SetArena, SetHandle};
-use crate::index::{DomainMove, GroupIndex, PrefixDomainIndex};
+use crate::index::{DomainMove, DualStackOnly, GroupIndex, PrefixDomainIndex};
 use crate::metrics::{Ratio, SimilarityMetric};
 use crate::pipeline::{BestMatchPolicy, SiblingPair, SiblingSet};
 
@@ -135,8 +138,8 @@ pub struct EngineConfig {
     /// window keeps its layout from month to month.
     pub shards: usize,
     /// Size of the engine's pool, which the window scheduler and
-    /// `detect` dispatch onto. `1` (the default) runs every task inline
-    /// on the calling thread; `0` sizes the pool to the machine.
+    /// `detect` dispatch onto. `0` (the default) sizes the pool to the
+    /// machine; `1` runs every task inline on the calling thread.
     pub threads: usize,
     /// Whether batch windows run incrementally (snapshot deltas, index
     /// patching, dirty-shard rescoring). `false` reseeds every month: a
@@ -152,7 +155,7 @@ impl Default for EngineConfig {
             metric: SimilarityMetric::Jaccard,
             policy: BestMatchPolicy::Union,
             shards: 0,
-            threads: 1,
+            threads: 0,
             incremental: true,
         }
     }
@@ -189,14 +192,15 @@ pub struct BatchStats {
 pub struct MonthChurn {
     /// The processed month.
     pub date: MonthDate,
-    /// Domains that appeared since the previously processed date.
+    /// Domains that joined the dual-stack set since the previously
+    /// processed date (the window diffs dual-stack entries only).
     pub added: usize,
-    /// Domains that disappeared.
+    /// Domains that left the dual-stack set: removed, or lost a family.
     pub removed: usize,
-    /// Domains present on both sides with different addresses.
+    /// Dual-stack domains on both sides with different addresses.
     pub retargeted: usize,
-    /// Changed domains whose *dual-stack* contribution changed (the ones
-    /// that actually mutate the index).
+    /// Changed domains whose announced-prefix lists moved (the ones that
+    /// actually mutate the index).
     pub changed_effective: usize,
     /// Shards rescored this month.
     pub dirty_shards: usize,
@@ -955,6 +959,8 @@ impl WindowCtx<'_, '_> {
         // contract is sequential) a few months ahead; each consecutive
         // pair's delta derives as its own pool task, so diffs of several
         // future months overlap the current month's patch and scores.
+        // The diff walks both months' dual-stack entries only, so it
+        // allocates nothing for the domains the index never holds.
         // A month on a new table reseeds instead, so it gets no diff.
         let lookahead = self.workers.max(1) + 1;
         let mut snaps: Vec<Option<H>> = (0..n).map(|_| None).collect();
@@ -974,7 +980,9 @@ impl WindowCtx<'_, '_> {
                     let next = handle.clone();
                     let slot = Arc::new(Slot::new());
                     diffs[loaded] = Some(Arc::clone(&slot));
-                    self.run(&slot, move || SnapshotDelta::diff_sources(&prev, &next));
+                    self.run(&slot, move || {
+                        SnapshotDelta::diff_sources(&DualStackOnly(prev), &DualStackOnly(next))
+                    });
                 }
                 snaps[loaded] = Some(handle);
                 loaded += 1;
@@ -1367,6 +1375,41 @@ mod tests {
         for &d in &dates {
             assert_sets_equal(run.at(d).unwrap(), full_run.at(d).unwrap());
         }
+    }
+
+    /// The window's churn counts dual-stack transitions only: a v4-only
+    /// domain that moves every month is never counted, and a domain that
+    /// gains and then loses its IPv6 side counts as added, then removed.
+    #[test]
+    fn churn_counts_dual_stack_transitions_only() {
+        let rib = Arc::new(fixture().1);
+        let dates: Vec<MonthDate> = (0..3)
+            .map(|k| MonthDate::new(2024, 7).add_months(k))
+            .collect();
+        let mut archive = RibArchive::new();
+        for &d in &dates {
+            archive.insert_shared(d, rib.clone());
+        }
+        let snapshot = |d: MonthDate| {
+            let k = u32::from(d.month()) - 7;
+            let mut s = DnsSnapshot::new(d);
+            s.merge(DomainId(1), vec![a4("203.0.1.1")], vec![a6("2600:1::1")]);
+            s.merge(DomainId(2), vec![a4("198.51.2.2") + k], vec![]);
+            let v6 = if k == 1 {
+                vec![a6("2600:2::3")]
+            } else {
+                vec![]
+            };
+            s.merge(DomainId(3), vec![a4("198.51.1.3")], v6);
+            Arc::new(s)
+        };
+        let mut engine = DetectEngine::default();
+        let run = engine.run_dates(&dates, &archive, snapshot).unwrap();
+        let counts: Vec<_> = run.churn[1..]
+            .iter()
+            .map(|c| (c.added, c.removed, c.retargeted, c.changed_effective))
+            .collect();
+        assert_eq!(counts, [(1, 0, 0, 1), (0, 1, 0, 1)]);
     }
 
     /// Six months on the fixture's table, every one with churn: domains

@@ -31,7 +31,9 @@ use std::sync::Arc;
 
 use sibling_bgp::RibSource;
 use sibling_dns::{AddrEntry, DnsSnapshot, DomainChange, DomainId, SnapshotDelta, SnapshotSource};
-use sibling_net_types::{AddressFamily, DualStack, FamilyMap, Ipv4Prefix, Ipv6Prefix, Prefix};
+use sibling_net_types::{
+    AddressFamily, DualStack, FamilyMap, Ipv4Prefix, Ipv6Prefix, MonthDate, Prefix,
+};
 use sibling_ptrie::PatriciaTrie;
 
 use crate::arena::{SetArena, SetHandle};
@@ -40,12 +42,27 @@ use crate::arena::{SetArena, SetHandle};
 /// shared between the index's record and the delta report.
 pub type PrefixList<F> = Arc<[Prefix<F>]>;
 
-/// The entries of a snapshot that §3.1 step 1 keeps: dual-stack
-/// domains, with both families present.
-fn dual_stack<S: SnapshotSource + ?Sized>(source: &S) -> impl Iterator<Item = AddrEntry<'_>> {
-    source
-        .addr_entries()
-        .filter(|(_, v4, v6)| !v4.is_empty() && !v6.is_empty())
+/// §3.1 step 1 over any [`SnapshotSource`]: the snapshot restricted to
+/// its dual-stack domains, with both families present. Index builds
+/// group through it, and the batch engine diffs consecutive months
+/// through it, so a domain outside the dual-stack set reaches neither.
+pub(crate) struct DualStackOnly<S>(pub(crate) S);
+
+impl<S: SnapshotSource> SnapshotSource for DualStackOnly<S> {
+    fn snapshot_date(&self) -> MonthDate {
+        self.0.snapshot_date()
+    }
+
+    /// Counts the dual-stack domains: one walk of the entries.
+    fn domain_count(&self) -> usize {
+        self.addr_entries().count()
+    }
+
+    fn addr_entries(&self) -> impl Iterator<Item = AddrEntry<'_>> + '_ {
+        self.0
+            .addr_entries()
+            .filter(|(_, v4, v6)| !v4.is_empty() && !v6.is_empty())
+    }
 }
 
 /// The per-family half of a [`GroupIndex`]: one instance per address
@@ -281,7 +298,7 @@ impl<F: AddressFamily> FamilyIndex<F> {
 ///   month.
 ///
 /// Over-approximation can only over-rescore, never miss a change.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexDeltaReport {
     /// IPv4 prefixes hosting a changed domain (before or after), sorted
     /// and deduplicated.
@@ -301,7 +318,7 @@ pub struct IndexDeltaReport {
 /// One changed domain's prefix transition (see
 /// [`IndexDeltaReport::moves`]). A family the domain does not (or no
 /// longer does) map into has an empty list.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainMove {
     /// The changed domain.
     pub domain: DomainId,
@@ -365,7 +382,7 @@ impl GroupIndex {
         arena: &SetArena,
     ) -> Self {
         let mut index = Self::default();
-        index.regroup(dual_stack(source), rib, arena, None);
+        index.regroup(DualStackOnly(source).addr_entries(), rib, arena, None);
         index
     }
 
@@ -386,7 +403,11 @@ impl GroupIndex {
     /// `rib`, and the delta carries the snapshot `self` reflects to its
     /// target. Mappings are a pure function of the RIB, so a changed RIB
     /// requires a full rebuild — the engine enforces this via
-    /// [`RibSource::same_table`].
+    /// [`RibSource::same_table`]. The diff of the two snapshots' dual-stack
+    /// entries alone is a valid delta too, and the one the batch engine
+    /// passes: a change with no dual-stack side on either snapshot moves
+    /// nothing here, a domain that leaves the dual-stack set arrives as
+    /// removed, and one that joins it as added.
     pub fn apply_delta<R: RibSource + ?Sized>(
         &mut self,
         delta: &SnapshotDelta,
@@ -623,7 +644,7 @@ impl PrefixDomainIndex {
     ) -> Self {
         let groups = GroupIndex::build(source, rib, arena);
         let mut hosts = DualStack::<HostSlots>::default();
-        for (domain, v4, v6) in dual_stack(source) {
+        for (domain, v4, v6) in DualStackOnly(source).addr_entries() {
             let announced_v4 = groups.prefixes_of_domain::<u32>(domain).unwrap_or_default();
             let announced_v6 = groups
                 .prefixes_of_domain::<u128>(domain)
@@ -1162,6 +1183,82 @@ mod tests {
         assert_groups_equiv(&patched, &want, "lying old fields");
         assert_report(&report, &grouped(&base, &rib), &want);
         assert_eq!(report.changed_domains, 4, "d0, d1, d2 and d5");
+    }
+
+    /// The batch engine patches with the diff of the two months'
+    /// dual-stack entries alone. Churn outside the dual-stack set drops
+    /// out of that delta, and the patch lands on the same groups, records
+    /// and report as the full diff's.
+    #[test]
+    fn dual_stack_delta_patches_like_the_full_delta() {
+        let mut rib = Rib::new();
+        rib.announce(p4("198.51.0.0/16"), Asn(1));
+        rib.announce(p4("203.0.0.0/16"), Asn(2));
+        rib.announce(p6("2600:1000::/32"), Asn(1));
+        rib.announce(p6("2600:2000::/32"), Asn(2));
+        let mut base = DnsSnapshot::new(MonthDate::new(2024, 8));
+        let mut next = DnsSnapshot::new(MonthDate::new(2024, 9));
+        // d0: v4-only, moves to the other org.
+        base.merge(DomainId(0), vec![a4("198.51.1.1")], vec![]);
+        next.merge(DomainId(0), vec![a4("203.0.1.1")], vec![]);
+        // d1: v6-only, turns dual-stack.
+        base.merge(DomainId(1), vec![], vec![a6("2600:1000::1")]);
+        next.merge(
+            DomainId(1),
+            vec![a4("198.51.1.2")],
+            vec![a6("2600:1000::1")],
+        );
+        // d2: dual-stack, loses its IPv6 side.
+        base.merge(
+            DomainId(2),
+            vec![a4("198.51.2.2")],
+            vec![a6("2600:1000::2")],
+        );
+        next.merge(DomainId(2), vec![a4("198.51.2.2")], vec![]);
+        // d3: dual-stack, retargets both sides.
+        base.merge(
+            DomainId(3),
+            vec![a4("198.51.3.3")],
+            vec![a6("2600:1000::3")],
+        );
+        next.merge(DomainId(3), vec![a4("203.0.3.3")], vec![a6("2600:2000::3")]);
+        // d4: dual-stack, removed.
+        base.merge(DomainId(4), vec![a4("203.0.4.4")], vec![a6("2600:2000::4")]);
+        // d5: dual-stack, unchanged; d6: v4-only, removed; d7: v6-only,
+        // appears.
+        for snap in [&mut base, &mut next] {
+            snap.merge(DomainId(5), vec![a4("203.0.5.5")], vec![a6("2600:2000::5")]);
+        }
+        base.merge(DomainId(6), vec![a4("203.0.6.6")], vec![]);
+        next.merge(DomainId(7), vec![], vec![a6("2600:2000::7")]);
+
+        let full = SnapshotDelta::diff(&base, &next);
+        let ds = SnapshotDelta::diff_sources(&DualStackOnly(&base), &DualStackOnly(&next));
+        let domains = |delta: &SnapshotDelta| -> Vec<u32> {
+            delta.changes().iter().map(|c| c.domain.0).collect()
+        };
+        assert_eq!(domains(&full), [0, 1, 2, 3, 4, 6, 7]);
+        assert_eq!(domains(&ds), [1, 2, 3, 4]);
+        assert_eq!(
+            (ds.added_count(), ds.removed_count(), ds.retargeted_count()),
+            (1, 2, 1),
+            "d1 joins, d2 and d4 leave, d3 retargets"
+        );
+
+        let patch = |delta: &SnapshotDelta| {
+            let arena = SetArena::new();
+            let mut index = GroupIndex::build(&base, &rib, &arena);
+            let report = index.apply_delta(delta, &rib, &arena);
+            (index, report)
+        };
+        let (by_full, full_report) = patch(&full);
+        let (by_ds, ds_report) = patch(&ds);
+        let want = grouped(&next, &rib);
+        assert_groups_equiv(&by_full, &want, "full delta");
+        assert_groups_equiv(&by_ds, &want, "dual-stack delta");
+        assert_eq!(ds_report, full_report);
+        assert_report(&ds_report, &grouped(&base, &rib), &want);
+        assert_eq!(ds_report.changed_domains, 4, "d1, d2, d3 and d4");
     }
 
     #[test]

@@ -16,7 +16,10 @@ use sibling_worldgen::{World, WorldConfig};
 /// run a second time from scratch, the recompute reference.
 fn score_window(world: &World, from: MonthDate, to: MonthDate) -> Vec<(MonthDate, SiblingSet)> {
     let archive = world.rib_archive();
-    let mut engine = DetectEngine::default();
+    let mut engine = DetectEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
     engine
         .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
         .expect("window covered by the world's archive")

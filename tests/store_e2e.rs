@@ -67,7 +67,10 @@ fn store_backed_window_is_bit_identical_to_regeneration() {
         let stored = from_store
             .run_window(from, to, &archive, |date| store.load(date).unwrap())
             .unwrap();
-        let mut from_world = DetectEngine::new(config);
+        let mut from_world = DetectEngine::new(EngineConfig {
+            threads: 1,
+            ..config
+        });
         let regenerated = from_world
             .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
             .unwrap();
