@@ -539,8 +539,8 @@ fn run_window_input(
 /// One-pass longitudinal sweep: walks the snapshot window through
 /// [`DetectEngine::run_window`], reusing the domain interner, RIB archive
 /// and hash-consed set arena across months, and reports the per-month
-/// sibling sets plus their month-over-month deltas (computed
-/// delta-natively by a carried [`PairLedger`]).
+/// sibling sets plus their month-over-month deltas (computed by a
+/// [`PairLedger`] merge walk against the previous month).
 ///
 /// Detection output (stdout) is identical between `--mode=incremental`
 /// (the default: snapshot deltas, dirty-shard rescoring) and
@@ -556,9 +556,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     let run = run_window_input(args, &mut engine, &config, from, to)?;
 
     println!("{}", MonthStats::batch_header());
-    // Month-over-month deltas via one carried ledger: the old month's
-    // pair map is advanced in place, never rebuilt per comparison. The
-    // row formatter is shared with the query service's `stats` family
+    // Month-over-month deltas via one ledger, which merge-walks each
+    // month against the previous one. The row formatter is shared with
+    // the query service's `stats` family
     // ([`MonthStats::batch_row`]), so served answers diff cleanly
     // against this table.
     let mut ledger = PairLedger::new();

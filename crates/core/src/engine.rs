@@ -12,13 +12,16 @@
 //!   stable hash of the prefix, one layout for [`DetectEngine::detect`],
 //!   a window's seed and every full-mode month. Each shard enumerates
 //!   its candidate IPv6 counterparts via the domain→prefix reverse map
-//!   and scores them locally, producing its own pair run and best-match
-//!   maxima. Shard outcomes reduce into the global pair set and maxima
-//!   (v4 maxima are disjoint across shards, v6 maxima merge by maximum),
-//!   so the result equals the serial walk.
+//!   and scores them locally. Its outcome is sorted runs: its pairs in
+//!   `(v4, v6)` order, a v4-best flag per pair (final, as v4 maxima are
+//!   disjoint across shards) and its partial v6 maxima. Assembly
+//!   reduces the v6 maxima with one sort, keeps pairs by the serial
+//!   walk's rule and orders them with one more sort, so the result
+//!   equals the serial walk with no per-pair map.
 //!   Candidate enumeration is a *counting join*: the walk that finds the
-//!   candidates already yields every `|A ∩ B|`, so the per-pair merge
-//!   walk of the serial reference disappears from the hot path.
+//!   candidates fills a sorted hit list whose runs are every `|A ∩ B|`,
+//!   so the per-pair merge walk of the serial reference disappears from
+//!   the hot path.
 //! * **Hash-consed sets** — the engine owns a [`SetArena`] shared by
 //!   every index it builds, so identical domain sets are stored once,
 //!   compare by allocation, and intersections of identical sets
@@ -276,15 +279,15 @@ impl Default for DetectEngine {
     }
 }
 
-/// What one shard reports back: its pair run (already in `(v4, v6)`
-/// order) and its best-match maxima. IPv4 maxima are complete (shards
-/// partition the v4 prefixes); IPv6 maxima are partial and reduced by
-/// maximum across shards.
+/// What one shard reports back, as sorted runs: its pairs in `(v4, v6)`
+/// order, whether each pair ties its IPv4 prefix's maximum (final, as
+/// shards partition the v4 prefixes), and its IPv6 maxima ascending by
+/// prefix (partial, reduced by maximum across shards at assembly).
 #[derive(Default)]
 struct ShardOutcome {
     pairs: Vec<SiblingPair>,
-    best_v4: BTreeMap<Ipv4Prefix, Ratio>,
-    best_v6: BTreeMap<Ipv6Prefix, Ratio>,
+    best_v4: Vec<bool>,
+    best_v6: Vec<(Ipv6Prefix, Ratio)>,
 }
 
 /// The immutable month-*m* scoring inputs a shard task captures: the v6
@@ -452,36 +455,40 @@ fn shard_of(prefix: &Ipv4Prefix, shard_count: usize) -> usize {
 }
 
 /// Waits for the shard outcome slots and reduces them into the final
-/// sibling set exactly as the serial reference does: v4 maxima are
-/// disjoint across shards, v6 maxima merge by maximum, pairs concatenate
-/// and are best-match filtered. Shared by [`DetectEngine::detect`] and
-/// the window scheduler's assembly tasks (which mix cached and fresh
-/// outcomes). Consumes outcomes **in shard order** — completion order
-/// never matters.
+/// sibling set exactly as the serial reference does: one sort reduces
+/// the shards' partial v6 maxima, each pair is kept by
+/// [`BestMatchPolicy::keeps`], and one sort orders the kept pairs,
+/// whose keys are unique across shards. Shared by
+/// [`DetectEngine::detect`] and the window scheduler's assembly tasks
+/// (which mix cached and fresh outcomes). Consumes outcomes **in shard
+/// order** — completion order never matters.
 fn assemble(slots: &[OutcomeSlot], policy: BestMatchPolicy) -> SiblingSet {
-    let mut pairs: Vec<SiblingPair> = Vec::new();
-    let mut best_v4: BTreeMap<Ipv4Prefix, Ratio> = BTreeMap::new();
-    let mut best_v6: BTreeMap<Ipv6Prefix, Ratio> = BTreeMap::new();
-    for slot in slots {
-        let outcome = slot.wait();
-        pairs.extend(outcome.pairs.iter().copied());
-        for (&p4, &r) in &outcome.best_v4 {
-            best_v4.insert(p4, r);
-        }
-        for (&p6, &r) in &outcome.best_v6 {
-            best_v6
-                .entry(p6)
-                .and_modify(|cur| {
-                    if r > *cur {
-                        *cur = r;
-                    }
-                })
-                .or_insert(r);
+    let outcomes: Vec<Arc<ShardOutcome>> = slots.iter().map(|slot| slot.wait()).collect();
+    let mut best_v6 = Vec::with_capacity(outcomes.iter().map(|o| o.best_v6.len()).sum());
+    for outcome in &outcomes {
+        best_v6.extend_from_slice(&outcome.best_v6);
+    }
+    sort_maxima(&mut best_v6);
+    let mut kept = Vec::new();
+    for outcome in &outcomes {
+        for (pair, &is_best_v4) in outcome.pairs.iter().zip(&outcome.best_v4) {
+            let is_best_v6 = best_v6
+                .binary_search_by(|(p6, _)| p6.cmp(&pair.v6))
+                .is_ok_and(|i| best_v6[i].1.cmp(&pair.similarity).is_eq());
+            if policy.keeps(is_best_v4, is_best_v6) {
+                kept.push(*pair);
+            }
         }
     }
-    let policy_filter =
-        |p: &SiblingPair| crate::pipeline::best_match_keep(policy, &best_v4, &best_v6, p);
-    SiblingSet::from_pairs(pairs.into_iter().filter(policy_filter).collect())
+    kept.sort_unstable_by_key(|p| (p.v4, p.v6));
+    SiblingSet::from_sorted_unique(kept)
+}
+
+/// Reduces `(v6 prefix, similarity)` entries to each prefix's maximum,
+/// ascending by prefix.
+fn sort_maxima(entries: &mut Vec<(Ipv6Prefix, Ratio)>) {
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    entries.dedup_by_key(|(p6, _)| *p6);
 }
 
 /// Everything the window scheduler's month steps share: the engine
@@ -732,9 +739,10 @@ impl<'env> WindowCtx<'_, 'env> {
             let bundle = std::mem::replace(&mut work, rest);
             let view = view.clone();
             self.exec(true, move || {
+                let mut hits = Vec::new();
                 for (slot, groups, replaced) in bundle {
                     let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        Arc::new(score_shard(&view, metric, &groups))
+                        Arc::new(score_shard(&view, metric, &groups, &mut hits))
                     }));
                     match scored {
                         Ok(outcome) => slot.set(outcome),
@@ -1034,31 +1042,34 @@ impl WindowCtx<'_, '_> {
 /// counterparts (domain co-occurrence via the captured month view).
 ///
 /// Candidate enumeration doubles as intersection computation: every
-/// domain `d` of the v4 group contributes one count to each IPv6 prefix
-/// it resolves into, so after the walk `counts[p6]` **is**
-/// `|A ∩ B|` (the reverse-map lists are deduplicated). The per-pair
-/// merge walk the serial reference pays — `O(|A| + |B|)` per candidate —
-/// disappears entirely; scoring a pair costs one map entry.
+/// domain `d` of the v4 group contributes its IPv6 prefixes to the hit
+/// list `hits`, so once the list is sorted the run of each `p6` **is**
+/// `|A ∩ B|` long (the reverse-map lists are deduplicated), and the runs
+/// come out in ascending `p6` order. The per-pair merge walk the serial
+/// reference pays — `O(|A| + |B|)` per candidate — disappears entirely;
+/// scoring a pair costs one run. `hits` is the caller's buffer, reused
+/// across a bundle's shards: allocating it afresh per shard costs the
+/// pooled batch window more than the sort saves.
 fn score_shard(
     view: &ScoreView,
     metric: SimilarityMetric,
     groups: &[(Ipv4Prefix, SetHandle)],
+    hits: &mut Vec<Ipv6Prefix>,
 ) -> ShardOutcome {
-    let mut pairs = Vec::new();
-    let mut best_v4 = BTreeMap::new();
-    let mut best_v6: BTreeMap<Ipv6Prefix, Ratio> = BTreeMap::new();
-    let mut counts: BTreeMap<Ipv6Prefix, u64> = BTreeMap::new();
+    let mut outcome = ShardOutcome::default();
     for (p4, a) in groups {
-        counts.clear();
+        hits.clear();
         for d in a.iter() {
             if let Some(v6_prefixes) = view.v6_domains.get(d) {
-                for p6 in v6_prefixes.iter() {
-                    *counts.entry(*p6).or_insert(0) += 1;
-                }
+                hits.extend_from_slice(v6_prefixes);
             }
         }
+        hits.sort_unstable();
+        let first = outcome.pairs.len();
         let mut local_best = Ratio::ZERO;
-        for (&p6, &shared) in &counts {
+        for run in hits.chunk_by(|x, y| x == y) {
+            let p6 = run[0];
+            let shared = run.len() as u64;
             let b = view
                 .v6_groups
                 .get(&p6)
@@ -1075,15 +1086,7 @@ fn score_shard(
             if similarity > local_best {
                 local_best = similarity;
             }
-            best_v6
-                .entry(p6)
-                .and_modify(|cur| {
-                    if similarity > *cur {
-                        *cur = similarity;
-                    }
-                })
-                .or_insert(similarity);
-            pairs.push(SiblingPair {
+            outcome.pairs.push(SiblingPair {
                 v4: *p4,
                 v6: p6,
                 similarity,
@@ -1092,15 +1095,15 @@ fn score_shard(
                 v6_domains: b.len() as u64,
             });
         }
-        if !local_best.is_zero() {
-            best_v4.insert(*p4, local_best);
-        }
+        outcome.best_v4.extend(
+            outcome.pairs[first..]
+                .iter()
+                .map(|p| p.similarity.cmp(&local_best).is_eq()),
+        );
     }
-    ShardOutcome {
-        pairs,
-        best_v4,
-        best_v6,
-    }
+    outcome.best_v6 = outcome.pairs.iter().map(|p| (p.v6, p.similarity)).collect();
+    sort_maxima(&mut outcome.best_v6);
+    outcome
 }
 
 #[cfg(test)]

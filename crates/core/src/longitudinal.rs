@@ -5,17 +5,17 @@
 //! * [`compare`] — the stateless reference: rebuilds the old month's
 //!   pair map on every call. Correct and simple; cost `O(old + current)`
 //!   in both time **and allocation** per comparison.
-//! * [`PairLedger`] — the delta-native walk the batch paths use: one
-//!   carried pair map advanced month over month. Unchanged pairs (the
-//!   overwhelming majority in the paper's steady state, §4.3) mutate
-//!   nothing — no re-keying, no per-month map rebuild; only changed
-//!   entries write. Property-tested to agree with [`compare`] exactly.
+//! * [`PairLedger`] — the walk the batch paths use: it carries the
+//!   previous month's set (an `Arc` clone) and merge-walks it against
+//!   the current one. Both are strictly ascending by `(v4, v6)`, so one
+//!   pass over the two slices sorts every pair into its category, with
+//!   no map built or probed. Property-tested to agree with [`compare`]
+//!   exactly.
 
 use std::collections::BTreeMap;
 
 use sibling_net_types::{Ipv4Prefix, Ipv6Prefix};
 
-use crate::metrics::Ratio;
 use crate::pipeline::SiblingSet;
 
 /// The change category of a sibling pair between two snapshots (Fig. 10).
@@ -105,14 +105,11 @@ pub fn compare(old: &SiblingSet, current: &SiblingSet) -> DeltaReport {
     report
 }
 
-/// The carried state of a delta-native longitudinal walk (see module
-/// docs): the previous month's pair→similarity map plus a generation
-/// counter that marks which entries the current month has confirmed.
+/// The carried state of a longitudinal walk (see module docs): the
+/// previous month's sibling set.
 #[derive(Debug, Default)]
 pub struct PairLedger {
-    /// `(v4, v6)` → (similarity, generation last seen).
-    pairs: BTreeMap<(Ipv4Prefix, Ipv6Prefix), (Ratio, u64)>,
-    generation: u64,
+    previous: SiblingSet,
 }
 
 impl PairLedger {
@@ -123,54 +120,55 @@ impl PairLedger {
         Self::default()
     }
 
+    /// A ledger whose previous month is `previous`: the next
+    /// [`PairLedger::advance`] reports exactly `compare(previous,
+    /// current)`. Sharing the set costs one `Arc` bump.
+    pub fn after(previous: &SiblingSet) -> Self {
+        Self {
+            previous: previous.clone(),
+        }
+    }
+
     /// Steps the ledger to `current`, returning the delta against the
-    /// previously advanced month. One walk over `current` updates the
-    /// carried map in place: unseen pairs are new, equal-similarity
-    /// pairs untouched, moved similarities overwritten; a retain pass
-    /// then drops (and reports) the vanished remainder. Equivalent to
-    /// [`compare`] (property-tested), without rebuilding the old map.
+    /// previously advanced month. One merge walk over the two strictly
+    /// ascending pair slices: a current pair the walk finds no old match
+    /// for is new, a matched pair is unchanged or changed, and an old
+    /// pair it steps past has vanished. The categories come out in the
+    /// order [`compare`] gives them.
     pub fn advance(&mut self, current: &SiblingSet) -> DeltaReport {
-        self.generation += 1;
-        let generation = self.generation;
         let mut report = DeltaReport::default();
+        let mut old = self.previous.as_slice().iter().peekable();
         for pair in current.iter() {
-            match self.pairs.entry((pair.v4, pair.v6)) {
-                std::collections::btree_map::Entry::Vacant(entry) => {
-                    report.new.push(pair.similarity.to_f64());
-                    entry.insert((pair.similarity, generation));
+            let key = (pair.v4, pair.v6);
+            while let Some(gone) = old.next_if(|o| (o.v4, o.v6) < key) {
+                report.vanished.push(gone.similarity.to_f64());
+            }
+            match old.next_if(|o| (o.v4, o.v6) == key) {
+                None => report.new.push(pair.similarity.to_f64()),
+                Some(o) if pair.similarity.cmp(&o.similarity).is_eq() => {
+                    report.unchanged.push(pair.similarity.to_f64());
                 }
-                std::collections::btree_map::Entry::Occupied(mut entry) => {
-                    let (old_sim, seen) = entry.get_mut();
-                    if pair.similarity.cmp(old_sim).is_eq() {
-                        report.unchanged.push(pair.similarity.to_f64());
-                    } else {
-                        report.changed_current.push(pair.similarity.to_f64());
-                        report.changed_old.push(old_sim.to_f64());
-                        *old_sim = pair.similarity;
-                    }
-                    *seen = generation;
+                Some(o) => {
+                    report.changed_current.push(pair.similarity.to_f64());
+                    report.changed_old.push(o.similarity.to_f64());
                 }
             }
         }
-        self.pairs.retain(|_, (sim, seen)| {
-            if *seen == generation {
-                true
-            } else {
-                report.vanished.push(sim.to_f64());
-                false
-            }
-        });
+        report
+            .vanished
+            .extend(old.map(|gone| gone.similarity.to_f64()));
+        self.previous = current.clone();
         report
     }
 
     /// Number of pairs carried from the last advanced month.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.previous.len()
     }
 
     /// Whether the ledger carries no pairs.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.previous.is_empty()
     }
 }
 
@@ -221,20 +219,15 @@ mod tests {
         assert_eq!(report.counts(), (0, 1, 0, 0));
     }
 
-    /// Sorted copies of a report's category vectors (vanished order is
-    /// representation-dependent between `compare` and the ledger).
+    /// A report's category vectors, bit for bit and in order.
     fn canon(report: &DeltaReport) -> [Vec<u64>; 5] {
-        let sorted = |v: &[f64]| {
-            let mut v: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
-            v.sort_unstable();
-            v
-        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         [
-            sorted(&report.new),
-            sorted(&report.unchanged),
-            sorted(&report.changed_current),
-            sorted(&report.changed_old),
-            sorted(&report.vanished),
+            bits(&report.new),
+            bits(&report.unchanged),
+            bits(&report.changed_current),
+            bits(&report.changed_old),
+            bits(&report.vanished),
         ]
     }
 
@@ -267,7 +260,8 @@ mod tests {
 
     /// Property: advancing the ledger along any random month sequence
     /// reports exactly what the stateless `compare` of consecutive
-    /// months reports.
+    /// months reports, and so does a ledger started after the previous
+    /// month.
     #[test]
     fn prop_ledger_equals_compare() {
         use proptest::test_runner::TestRunner;
@@ -302,6 +296,8 @@ mod tests {
                     let want = compare(&prev, &current);
                     let got = ledger.advance(&current);
                     assert_eq!(canon(&got), canon(&want));
+                    let started = PairLedger::after(&prev).advance(&current);
+                    assert_eq!(canon(&started), canon(&want));
                     prev = current;
                 }
                 Ok(())

@@ -42,6 +42,21 @@ pub enum BestMatchPolicy {
     V6Side,
 }
 
+impl BestMatchPolicy {
+    /// Whether a pair survives best-match selection, given whether it
+    /// ties its IPv4 prefix's maximum and its IPv6 prefix's. Shared by
+    /// the serial reference [`detect`] and the sharded
+    /// [`crate::engine::DetectEngine`] so the two paths cannot drift
+    /// apart.
+    pub(crate) fn keeps(self, is_best_v4: bool, is_best_v6: bool) -> bool {
+        match self {
+            BestMatchPolicy::Union => is_best_v4 || is_best_v6,
+            BestMatchPolicy::V4Side => is_best_v4,
+            BestMatchPolicy::V6Side => is_best_v6,
+        }
+    }
+}
+
 /// The detected sibling pair set for one snapshot.
 ///
 /// The pairs are immutable once built, so they live behind an `Arc`:
@@ -58,6 +73,20 @@ impl SiblingSet {
     pub fn from_pairs(mut pairs: Vec<SiblingPair>) -> Self {
         pairs.sort_by_key(|p| (p.v4, p.v6));
         pairs.dedup_by_key(|p| (p.v4, p.v6));
+        Self {
+            pairs: pairs.into(),
+        }
+    }
+
+    /// Builds a set from pairs already strictly ascending by `(v4, v6)`
+    /// — no sort, no dedup.
+    pub(crate) fn from_sorted_unique(pairs: Vec<SiblingPair>) -> Self {
+        debug_assert!(
+            pairs
+                .windows(2)
+                .all(|w| (w[0].v4, w[0].v6) < (w[1].v4, w[1].v6)),
+            "pairs strictly ascending by (v4, v6)"
+        );
         Self {
             pairs: pairs.into(),
         }
@@ -132,32 +161,12 @@ impl SiblingSet {
 
     /// Number of distinct IPv4 and IPv6 prefixes participating in pairs.
     pub fn unique_prefix_counts(&self) -> (usize, usize) {
-        let v4: BTreeSet<_> = self.pairs.iter().map(|p| p.v4).collect();
-        let v6: BTreeSet<_> = self.pairs.iter().map(|p| p.v6).collect();
-        (v4.len(), v6.len())
-    }
-}
-
-/// Whether `pair` survives best-match selection under `policy`, given
-/// the per-side similarity maxima. Shared by the serial reference
-/// [`detect`] and the sharded [`crate::engine::DetectEngine`] so the two
-/// paths cannot drift apart on tie or zero handling.
-pub(crate) fn best_match_keep(
-    policy: BestMatchPolicy,
-    best_v4: &BTreeMap<Ipv4Prefix, crate::metrics::Ratio>,
-    best_v6: &BTreeMap<Ipv6Prefix, crate::metrics::Ratio>,
-    p: &SiblingPair,
-) -> bool {
-    let is_best_v4 = best_v4
-        .get(&p.v4)
-        .is_some_and(|r| p.similarity.cmp(r).is_eq());
-    let is_best_v6 = best_v6
-        .get(&p.v6)
-        .is_some_and(|r| p.similarity.cmp(r).is_eq());
-    match policy {
-        BestMatchPolicy::Union => is_best_v4 || is_best_v6,
-        BestMatchPolicy::V4Side => is_best_v4,
-        BestMatchPolicy::V6Side => is_best_v6,
+        // The pairs ascend by v4, so each v4 prefix is one run.
+        let v4 = self.pairs.chunk_by(|a, b| a.v4 == b.v4).count();
+        let mut v6: Vec<Ipv6Prefix> = self.pairs.iter().map(|p| p.v6).collect();
+        v6.sort_unstable();
+        v6.dedup();
+        (v4, v6.len())
     }
 }
 
@@ -238,7 +247,10 @@ pub fn detect(index: &GroupIndex, metric: SimilarityMetric, policy: BestMatchPol
     SiblingSet::from_pairs(
         scored
             .into_iter()
-            .filter(|p| best_match_keep(policy, &best_v4, &best_v6, p))
+            .filter(|p| {
+                let ties = |best: Option<&Ratio>| best.is_some_and(|r| p.similarity.cmp(r).is_eq());
+                policy.keeps(ties(best_v4.get(&p.v4)), ties(best_v6.get(&p.v6)))
+            })
             .collect(),
     )
 }
@@ -380,6 +392,21 @@ mod tests {
         assert!(mean > 0.0 && mean < 1.0);
         assert!(std >= 0.0);
         assert_eq!(set.unique_prefix_counts(), (2, 2));
+        // v6 prefixes that recur apart in (v4, v6) order count once.
+        let pair = |v4: &str, v6: &str| SiblingPair {
+            v4: p4(v4),
+            v6: p6(v6),
+            similarity: Ratio::ONE,
+            shared_domains: 1,
+            v4_domains: 1,
+            v6_domains: 1,
+        };
+        let interleaved = SiblingSet::from_pairs(vec![
+            pair("198.51.0.0/16", "2600:1::/32"),
+            pair("198.51.0.0/16", "2600:2::/32"),
+            pair("203.0.0.0/16", "2600:1::/32"),
+        ]);
+        assert_eq!(interleaved.unique_prefix_counts(), (2, 2));
         assert_eq!(set.perfect_match_share(), 0.0);
         assert_eq!(set.similarity_values().len(), 2);
     }

@@ -19,7 +19,8 @@
 //!   the month range.
 //! * **Stats queries** reuse the month-over-month change accounting the
 //!   batch table prints, precomputed at publish time by the same
-//!   [`PairLedger`] walk.
+//!   [`PairLedger`] merge walk. A new tail month's walk starts from the
+//!   previous month's set ([`PairLedger::after`]) without re-walking it.
 //!
 //! The index is **immutable after publish** ([`WindowQueryIndex::publish`]
 //! hands out an `Arc`), so any number of reader threads answer queries
@@ -292,10 +293,10 @@ impl WindowQueryIndex {
     /// whatever the window's length. The result equals
     /// [`WindowQueryIndex::build`] over the same months.
     ///
-    /// The new month's `stats` delta comes from a fresh [`PairLedger`]
-    /// advanced over the previous month and then `set`: the ledger
-    /// carries exactly the last month's pairs, so this matches the
-    /// full walk. An earlier `date` is [`QueryIndexError::UnsortedWindow`].
+    /// The new month's `stats` delta comes from a [`PairLedger`] started
+    /// after the previous month ([`PairLedger::after`], one `Arc` bump)
+    /// and advanced to `set`, so it matches the full walk. An earlier
+    /// `date` is [`QueryIndexError::UnsortedWindow`].
     pub fn with_tail(&self, date: MonthDate, set: SiblingSet) -> Result<Self, QueryIndexError> {
         let (_, tail) = self.bounds();
         let kept = match date.cmp(&tail) {
@@ -303,10 +304,10 @@ impl WindowQueryIndex {
             std::cmp::Ordering::Equal => self.monthly.len() - 1,
             std::cmp::Ordering::Greater => self.monthly.len(),
         };
-        let mut ledger = PairLedger::new();
-        if let Some(previous) = kept.checked_sub(1) {
-            ledger.advance(&self.monthly[previous].set);
-        }
+        let mut ledger = match kept.checked_sub(1) {
+            Some(previous) => PairLedger::after(&self.monthly[previous].set),
+            None => PairLedger::new(),
+        };
         let mut months = self.months[..kept].to_vec();
         months.push(date);
         let mut monthly = self.monthly[..kept].to_vec();

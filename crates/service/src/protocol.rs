@@ -131,20 +131,35 @@ pub fn to_hex(bytes: &[u8]) -> String {
     out
 }
 
+/// Each byte's hex digit value (either case); `0xff` marks a non-hex
+/// byte.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        let digit = b"0123456789abcdef"[i];
+        table[digit as usize] = i as u8;
+        table[digit.to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Decodes hex produced by [`to_hex`] (either case). `None` on odd
 /// length or a non-hex digit.
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    s.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
-            Some(((hi << 4) | lo) as u8)
-        })
-        .collect()
+    let mut bytes = Vec::with_capacity(s.len() / 2);
+    for pair in s.as_bytes().chunks_exact(2) {
+        let (hi, lo) = (NIBBLE[pair[0] as usize], NIBBLE[pair[1] as usize]);
+        if (hi | lo) > 0xf {
+            return None;
+        }
+        bytes.push((hi << 4) | lo);
+    }
+    Some(bytes)
 }
 
 impl fmt::Display for Request {
@@ -355,9 +370,17 @@ fn parse_month(s: &str) -> Result<MonthDate, ProtocolError> {
 /// Parses one request line. Leading/trailing whitespace is ignored; any
 /// failure is a typed [`ProtocolError`].
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    let mut words = line.split_whitespace();
-    let verb = words.next().ok_or(ProtocolError::Empty)?;
-    let args: Vec<&str> = words.collect();
+    let line = line.trim();
+    let (verb, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+    // An `ingest` payload runs to tens of kilobytes, so it is taken as
+    // one token unsplit; only a payload that fails to decode is then
+    // checked for a second token.
+    let args: Vec<&str> = match (verb, rest.trim_start()) {
+        ("", _) => return Err(ProtocolError::Empty),
+        ("ingest", "") => Vec::new(),
+        ("ingest", payload) => vec![payload],
+        (_, rest) => rest.split_whitespace().collect(),
+    };
     let usage = |verb, usage| ProtocolError::Usage { verb, usage };
     match verb {
         "ping" => match args[..] {
@@ -429,10 +452,16 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         },
         "ingest" => match args[..] {
             [hex] => {
-                let bytes = from_hex(hex).ok_or_else(|| ProtocolError::BadArg {
-                    what: "delta",
-                    input: abbreviate(hex),
-                    detail: "not an even-length hex string".into(),
+                let bytes = from_hex(hex).ok_or_else(|| {
+                    if hex.contains(char::is_whitespace) {
+                        usage("ingest", "HEX-ENCODED-DELTA")
+                    } else {
+                        ProtocolError::BadArg {
+                            what: "delta",
+                            input: abbreviate(hex),
+                            detail: "not an even-length hex string".into(),
+                        }
+                    }
                 })?;
                 let delta =
                     sibling_dns::decode_delta(&bytes).map_err(|e| ProtocolError::BadArg {

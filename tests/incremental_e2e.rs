@@ -2,16 +2,28 @@
 //! synthetic world's organic churn, `run_window` with snapshot deltas,
 //! in-place index patching and dirty-shard rescoring produces exactly
 //! the same per-month `SiblingSet`s as the full-rebuild path and as
-//! independent per-date `detect` invocations. The incremental run is on
-//! a two-thread pool, the full rebuild inline.
+//! independent per-date `detect` invocations, under every best-match
+//! policy and similarity metric. The incremental runs are on a
+//! two-thread pool, the full rebuild inline.
 
 use std::sync::Arc;
 
 use sibling_core::{
     detect, BestMatchPolicy, DetectEngine, EngineConfig, GroupIndex, PrefixDomainIndex, SetArena,
-    SimilarityMetric,
+    SiblingSet, SimilarityMetric,
 };
 use sibling_worldgen::{World, WorldConfig};
+
+fn assert_same_pairs(got: &SiblingSet, want: &SiblingSet, what: &str) {
+    assert_eq!(got.len(), want.len(), "pair count differs: {what}");
+    for (g, w) in got.iter().zip(want.iter()) {
+        assert_eq!((g.v4, g.v6), (w.v4, w.v6), "pair identity: {what}");
+        assert_eq!(g.similarity, w.similarity, "similarity: {what}");
+        assert_eq!(g.shared_domains, w.shared_domains, "{what}");
+        assert_eq!(g.v4_domains, w.v4_domains, "{what}");
+        assert_eq!(g.v6_domains, w.v6_domains, "{what}");
+    }
+}
 
 #[test]
 fn incremental_window_matches_full_rebuild_and_per_date() {
@@ -19,46 +31,64 @@ fn incremental_window_matches_full_rebuild_and_per_date() {
     let to = world.config.end;
     let from = to.add_months(-4);
     let archive = world.rib_archive();
-
-    let mut incremental = DetectEngine::new(EngineConfig {
-        threads: 2,
-        ..EngineConfig::default()
-    });
-    let inc = incremental
-        .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
-        .expect("window covered by the world's archive");
+    let snapshots: Vec<_> = from
+        .range_to(to)
+        .into_iter()
+        .map(|date| (date, Arc::new(world.snapshot(date))))
+        .collect();
+    let snapshot_of = |date| {
+        let (_, snapshot) = snapshots
+            .iter()
+            .find(|(d, _)| *d == date)
+            .expect("in window");
+        Arc::clone(snapshot)
+    };
+    let indexes: Vec<PrefixDomainIndex> = snapshots
+        .iter()
+        .map(|(_, snapshot)| PrefixDomainIndex::build(snapshot, world.rib()))
+        .collect();
 
     let mut full = DetectEngine::new(EngineConfig {
         incremental: false,
         threads: 1,
         ..EngineConfig::default()
     });
-    let full = full
-        .run_window(from, to, &archive, |date| Arc::new(world.snapshot(date)))
-        .unwrap();
+    let full = full.run_window(from, to, &archive, snapshot_of).unwrap();
 
-    assert_eq!(inc.results.len(), 5);
-    assert_eq!(inc.results.len(), full.results.len());
-    for ((d_inc, got), (d_full, want)) in inc.results.iter().zip(full.results.iter()) {
-        assert_eq!(d_inc, d_full);
-        assert!(!want.is_empty(), "synthetic world detects pairs at {d_inc}");
-        assert_eq!(got.len(), want.len(), "pair count differs at {d_inc}");
-        for (g, w) in got.iter().zip(want.iter()) {
-            assert_eq!((g.v4, g.v6), (w.v4, w.v6), "pair identity at {d_inc}");
-            assert_eq!(g.similarity, w.similarity, "similarity at {d_inc}");
-            assert_eq!(g.shared_domains, w.shared_domains);
-            assert_eq!(g.v4_domains, w.v4_domains);
-            assert_eq!(g.v6_domains, w.v6_domains);
-        }
-
-        // And both equal the reference per-date pipeline.
-        let snapshot = world.snapshot(*d_inc);
-        let index = PrefixDomainIndex::build(&snapshot, world.rib());
-        let reference = detect(&index, SimilarityMetric::Jaccard, BestMatchPolicy::Union);
-        assert_eq!(got.len(), reference.len());
-        for (g, r) in got.iter().zip(reference.iter()) {
-            assert_eq!((g.v4, g.v6), (r.v4, r.v6));
-            assert_eq!(g.similarity, r.similarity);
+    for policy in [
+        BestMatchPolicy::Union,
+        BestMatchPolicy::V4Side,
+        BestMatchPolicy::V6Side,
+    ] {
+        for metric in [
+            SimilarityMetric::Jaccard,
+            SimilarityMetric::Dice,
+            SimilarityMetric::Overlap,
+        ] {
+            let mut incremental = DetectEngine::new(EngineConfig {
+                metric,
+                policy,
+                threads: 2,
+                ..EngineConfig::default()
+            });
+            let inc = incremental
+                .run_window(from, to, &archive, snapshot_of)
+                .expect("window covered by the world's archive");
+            assert_eq!(inc.results.len(), 5);
+            for ((date, got), index) in inc.results.iter().zip(&indexes) {
+                assert!(!got.is_empty(), "synthetic world detects pairs at {date}");
+                // The reference per-date pipeline under the same policy
+                // and metric.
+                let reference = detect(index, metric, policy);
+                assert_same_pairs(got, &reference, &format!("{policy:?} {metric:?} {date}"));
+            }
+            if (policy, metric) == (BestMatchPolicy::Union, SimilarityMetric::Jaccard) {
+                assert_eq!(inc.results.len(), full.results.len());
+                for ((d_inc, got), (d_full, want)) in inc.results.iter().zip(full.results.iter()) {
+                    assert_eq!(d_inc, d_full);
+                    assert_same_pairs(got, want, &format!("full rebuild {d_inc}"));
+                }
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! synthetic world's organic churn, `run_window` must produce exactly
 //! the same per-month `SiblingSet`s (and churn accounting) at every
 //! `threads` setting, in both engine modes, against regenerated and
-//! store-backed (mmap) snapshots — and the delta-native `PairLedger`
+//! store-backed (mmap) snapshots — and the `PairLedger` merge walk
 //! must report the same month-over-month categories as the stateless
 //! `compare`. One thread runs every task inline; more run a real pool.
 
